@@ -196,9 +196,15 @@ http_get() {
 http_get /api/v1/runs > "$SMOKE_DIR/api_runs.json"
 "$MTASC" runs list --json --runs-dir "$SERVE_RUNS" | diff - "$SMOKE_DIR/api_runs.json"
 "$MTASC" stats validate "$SMOKE_DIR/api_runs.json" | grep -q "mtasc.run_meta.v1 list"
-http_get /healthz | grep -q '"status":"ok"'
-http_get "/api/v1/runs/$BASE_ID" | grep -q "\"id\": \"$BASE_ID\""
-http_get "/api/v1/runs/$BASE_ID/report" | grep -q '"schema": "mtasc.run_report.v1"'
+# bodies go to files before grep: `http_get | grep -q` fails under
+# pipefail when grep exits at its match while sed is still writing
+# (SIGPIPE, exit 141)
+http_get /healthz > "$SMOKE_DIR/healthz.json"
+grep -q '"status":"ok"' "$SMOKE_DIR/healthz.json"
+http_get "/api/v1/runs/$BASE_ID" > "$SMOKE_DIR/show.json"
+grep -q "\"id\": \"$BASE_ID\"" "$SMOKE_DIR/show.json"
+http_get "/api/v1/runs/$BASE_ID/report" > "$SMOKE_DIR/report.json"
+grep -q '"schema": "mtasc.run_report.v1"' "$SMOKE_DIR/report.json"
 # the forwarding-off run regresses against the baseline, and the diff
 # endpoint says so in mtasc.stats_diff.v1 terms
 http_get "/api/v1/runs/$BASE_ID/diff/$NOFWD_ID?fail-on-regress=0" > "$SMOKE_DIR/diff.json"
@@ -220,6 +226,11 @@ grep -q "mtasc serve stopped" "$SMOKE_DIR/serve.log"
 
 echo "==> cargo test"
 cargo test --workspace -q
+
+echo "==> hostbench tests (the benchmark builds against the obs-store and serve APIs)"
+# hostbench is a package of its own outside the workspace: an API change
+# in a crate it calls fails here, not in the benchmark run.
+cargo test --release --offline --manifest-path hostbench/Cargo.toml
 
 echo "==> cargo test --features proptest (property tests)"
 cargo test -p asc-core -p asc-asm -p asc-pe -p asc-obs-store --features proptest -q

@@ -1129,7 +1129,7 @@ pub fn cmd_runs_list(
         store.list().map_err(|e| CliError::Failure(format!("run registry: {e}")))?;
     // the same filter/paginate pipeline backs the server's /api/v1/runs,
     // keeping the two JSON surfaces byte-for-byte interchangeable
-    let (page, total) = filter_list(metas, status, program, limit, offset);
+    let (page, total) = filter_list(&metas, status, program, limit, offset);
     if json {
         return Ok(list_to_json(&page).to_pretty() + "\n");
     }
@@ -2630,8 +2630,11 @@ mod tests {
         let shown = runs(&["show", &b]).unwrap();
         assert!(shown.contains("status   ok"), "{shown}");
         assert!(shown.contains("cycles"), "{shown}");
-        // unique prefix resolves too
-        assert!(runs(&["show", &b[..10]]).is_ok());
+        // unique prefix resolves too; runs recorded within one
+        // millisecond share their 10-character timestamp, so take the
+        // shortest prefix (at least 10 characters) that `a` does not share
+        let shared = b.bytes().zip(a.bytes()).take_while(|(x, y)| x == y).count();
+        assert!(runs(&["show", &b[..(shared + 1).max(10)]]).is_ok());
 
         // diff: same-kind artifacts via registry ids
         let diffed = runs(&["diff", &a, &a]).unwrap();

@@ -12,7 +12,8 @@
 //! * `runs list` — paginated, status-filtered listing ([`RunStore::list`],
 //!   [`render_list`], [`list_to_json`]);
 //! * `runs show <id>` — manifest + recorded hot-spot table
-//!   ([`RunStore::find`] resolves unique id prefixes);
+//!   ([`RunStore::find`] resolves unique id prefixes through
+//!   [`resolve_in`], the resolver `mtasc serve` shares);
 //! * `runs diff <a> <b>` — delegates to the direction-aware
 //!   `stats diff` engine over recorded artifacts;
 //! * `runs gc --keep N` — prunes old run directories and compacts the
@@ -33,8 +34,8 @@ mod ulid;
 
 pub use meta::{config_fingerprint, program_hash, RunMeta, RunStatus, RUN_META_SCHEMA};
 pub use store::{
-    filter_list, list_to_json, program_hash_matches, prometheus_text, render_list, Resolve,
-    RunHandle, RunStore, HEARTBEAT_FILE, INDEX_FILE, META_FILE,
+    filter_list, list_to_json, program_hash_matches, prometheus_text, render_list, resolve_in,
+    Resolve, RunHandle, RunStore, HEARTBEAT_FILE, INDEX_FILE, META_FILE,
 };
 pub use tail::{HeartbeatBatch, HeartbeatTail, IndexWatcher, LineTail, TailChunk};
 pub use ulid::{format_unix_ms, is_ulid, ulid, ulid_at, ulid_ms, unix_ms, ULID_LEN};

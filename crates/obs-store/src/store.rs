@@ -4,9 +4,10 @@
 //! append-only `index.jsonl` of manifests.
 //!
 //! The index is written twice per run: a `running` line at begin and a
-//! final line at finish; readers deduplicate by id, **last line wins**.
-//! A crash between the two leaves an honest `running` entry behind —
-//! `runs list` shows it, `runs gc` reaps it. `gc` compacts the index.
+//! final line at finish; readers deduplicate by id, **last line wins**
+//! (the one fold is [`IndexWatcher`]). A crash between the two leaves an
+//! honest `running` entry behind — `runs list` shows it, `runs gc` reaps
+//! it. `gc` compacts the index.
 
 use std::fs;
 use std::io::{self, Write as _};
@@ -15,6 +16,7 @@ use std::path::{Path, PathBuf};
 use asc_core::obs::Json;
 
 use crate::meta::{RunMeta, RunStatus};
+use crate::tail::IndexWatcher;
 use crate::ulid::{ulid, unix_ms};
 
 /// Name of the index file under the registry root.
@@ -110,45 +112,16 @@ impl RunStore {
     /// All recorded runs, newest first (ids are ULIDs, so id order is
     /// creation order). Returns the manifests and how many malformed
     /// index lines were skipped (e.g. a torn write from a crashed run).
+    /// A one-shot [`IndexWatcher`] fold over the whole index.
     pub fn list(&self) -> io::Result<(Vec<RunMeta>, usize)> {
-        let text = match fs::read_to_string(self.root.join(INDEX_FILE)) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-            Err(e) => return Err(e),
-        };
-        let mut metas: Vec<RunMeta> = Vec::new();
-        let mut skipped = 0;
-        for line in text.lines().filter(|l| !l.trim().is_empty()) {
-            match Json::parse(line).ok().as_ref().and_then(RunMeta::from_json) {
-                Some(meta) => {
-                    // last line wins: finish supersedes begin
-                    match metas.iter_mut().find(|m| m.id == meta.id) {
-                        Some(slot) => *slot = meta,
-                        None => metas.push(meta),
-                    }
-                }
-                None => skipped += 1,
-            }
-        }
-        metas.sort_by(|a, b| b.id.cmp(&a.id));
-        Ok((metas, skipped))
+        IndexWatcher::read_once(&self.root)
     }
 
-    /// Resolve a user-supplied run reference: an exact id, or a unique
-    /// id prefix (case-insensitive, 4+ characters recommended).
+    /// Resolve a user-supplied run reference against the whole index
+    /// (see [`resolve_in`]).
     pub fn find(&self, query: &str) -> io::Result<Resolve> {
         let (metas, _) = self.list()?;
-        if let Some(m) = metas.iter().find(|m| m.id == query) {
-            return Ok(Resolve::One(Box::new(m.clone())));
-        }
-        let q = query.to_ascii_uppercase();
-        let hits: Vec<&RunMeta> =
-            metas.iter().filter(|m| m.id.to_ascii_uppercase().starts_with(&q)).collect();
-        Ok(match hits.as_slice() {
-            [] => Resolve::NotFound,
-            [one] => Resolve::One(Box::new((*one).clone())),
-            many => Resolve::Ambiguous(many.iter().map(|m| m.id.clone()).collect()),
-        })
+        Ok(resolve_in(&metas, query))
     }
 
     /// Keep the newest `keep` runs; delete every older run's directory
@@ -166,13 +139,17 @@ impl RunStore {
             }
         }
         // compact: rewrite the index with the survivors, oldest first so
-        // future appends keep chronological file order
+        // future appends keep chronological file order. The new index is
+        // renamed into place, so readers see the old file or the new one,
+        // never a truncated one, and tailers notice the swap.
         let mut out = String::new();
         for meta in kept.iter().rev() {
             out.push_str(&meta.to_json().to_compact());
             out.push('\n');
         }
-        fs::write(self.root.join(INDEX_FILE), out)?;
+        let staged = self.root.join(format!("{INDEX_FILE}.gc"));
+        fs::write(&staged, out)?;
+        fs::rename(&staged, self.root.join(INDEX_FILE))?;
         Ok(removed_ids)
     }
 
@@ -182,6 +159,27 @@ impl RunStore {
     pub fn prometheus(&self) -> io::Result<String> {
         let (metas, _) = self.list()?;
         Ok(prometheus_text(&metas))
+    }
+}
+
+/// Resolve a user-supplied run reference among `metas`: an exact id, or
+/// else a unique id prefix (case-insensitive, 4+ characters
+/// recommended). The one resolver behind `mtasc runs` and `mtasc serve`.
+pub fn resolve_in(metas: &[RunMeta], query: &str) -> Resolve {
+    if let Some(m) = metas.iter().find(|m| m.id == query) {
+        return Resolve::One(Box::new(m.clone()));
+    }
+    let hits: Vec<&RunMeta> = metas
+        .iter()
+        .filter(|m| {
+            let id = m.id.as_bytes();
+            id.len() >= query.len() && id[..query.len()].eq_ignore_ascii_case(query.as_bytes())
+        })
+        .collect();
+    match hits.as_slice() {
+        [] => Resolve::NotFound,
+        [one] => Resolve::One(Box::new((*one).clone())),
+        many => Resolve::Ambiguous(many.iter().map(|m| m.id.clone()).collect()),
     }
 }
 
@@ -256,23 +254,28 @@ pub fn list_to_json(metas: &[RunMeta]) -> Json {
 
 /// The shared filter/paginate pipeline behind `mtasc runs list` and the
 /// server's `GET /api/v1/runs` — one implementation so the two surfaces
-/// stay byte-for-byte interchangeable. Returns the selected page and the
-/// total number of runs that survived the filters (pre-pagination).
+/// stay byte-for-byte interchangeable. Returns the selected page (the
+/// only manifests it clones) and the total number of runs that survived
+/// the filters (pre-pagination).
 pub fn filter_list(
-    mut metas: Vec<RunMeta>,
+    metas: &[RunMeta],
     status: Option<RunStatus>,
     program: Option<&str>,
     limit: Option<usize>,
     offset: usize,
 ) -> (Vec<RunMeta>, usize) {
-    if let Some(status) = status {
-        metas.retain(|m| m.status == status);
+    let selected = metas.iter().filter(|m| {
+        status.is_none_or(|s| m.status == s)
+            && program.is_none_or(|q| program_hash_matches(&m.program_hash, q))
+    });
+    let mut page = Vec::new();
+    let mut total = 0;
+    for meta in selected {
+        if total >= offset && page.len() < limit.unwrap_or(usize::MAX) {
+            page.push(meta.clone());
+        }
+        total += 1;
     }
-    if let Some(query) = program {
-        metas.retain(|m| program_hash_matches(&m.program_hash, query));
-    }
-    let total = metas.len();
-    let page = metas.into_iter().skip(offset).take(limit.unwrap_or(usize::MAX)).collect();
     (page, total)
 }
 
@@ -418,6 +421,24 @@ mod tests {
     }
 
     #[test]
+    fn resolve_in_matches_exact_ids_before_prefixes() {
+        let mut a = begin_meta("a.asc");
+        a.id = "01ABC".into();
+        let mut b = begin_meta("b.asc");
+        b.id = "01ABCD".into();
+        let mut odd = begin_meta("c.asc");
+        odd.id = "01é".into();
+        let metas = [b.clone(), a.clone(), odd];
+        // `01ABC` is a prefix of both, but it is also an exact id
+        assert!(matches!(resolve_in(&metas, "01ABC"), Resolve::One(m) if m.id == a.id));
+        assert!(matches!(resolve_in(&metas, "01abcd"), Resolve::One(m) if m.id == b.id));
+        assert!(matches!(resolve_in(&metas, "01a"), Resolve::Ambiguous(ids) if ids.len() == 2));
+        // a query whose length ends inside an id's multi-byte character
+        assert_eq!(resolve_in(&metas, "01x"), Resolve::NotFound);
+        assert_eq!(resolve_in(&[], "01"), Resolve::NotFound);
+    }
+
+    #[test]
     fn gc_keeps_the_newest_and_compacts() {
         let store = tmp_store("gc");
         let mut ids = Vec::new();
@@ -508,20 +529,20 @@ mod tests {
             metas.push(m);
         }
         metas.sort_by(|a, b| b.id.cmp(&a.id));
-        let (all, total) = filter_list(metas.clone(), None, None, None, 0);
+        let (all, total) = filter_list(&metas, None, None, None, 0);
         assert_eq!((all.len(), total), (5, 5));
-        let (ok, total) = filter_list(metas.clone(), Some(RunStatus::Ok), None, None, 0);
+        let (ok, total) = filter_list(&metas, Some(RunStatus::Ok), None, None, 0);
         assert_eq!((ok.len(), total), (3, 3));
-        let (page, total) = filter_list(metas.clone(), None, None, Some(2), 1);
+        let (page, total) = filter_list(&metas, None, None, Some(2), 1);
         assert_eq!((page.len(), total), (2, 5));
         assert_eq!(page[0].id, metas[1].id, "offset skips the newest");
         let hash = program_hash("k3.asc");
-        let (hit, total) = filter_list(metas.clone(), None, Some(&hash), None, 0);
+        let (hit, total) = filter_list(&metas, None, Some(&hash), None, 0);
         assert_eq!((hit.len(), total), (1, 1));
         assert_eq!(hit[0].name, "k3.asc");
         // bare-hex prefix, case-insensitive
         let prefix = hash.strip_prefix("fnv1a64:").unwrap()[..6].to_uppercase();
-        let (hit, _) = filter_list(metas, None, Some(&prefix), None, 0);
+        let (hit, _) = filter_list(&metas, None, Some(&prefix), None, 0);
         assert_eq!(hit.len(), 1);
         assert!(!program_hash_matches(&hash, ""), "empty query matches nothing");
     }

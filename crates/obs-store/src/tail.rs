@@ -5,12 +5,15 @@
 //! tailer). Both sit on the same primitive, [`LineTail`]: an incremental
 //! reader that remembers its byte offset between polls, buffers a torn
 //! (unterminated) final line until the writer completes it, and resets
-//! itself when the file shrinks underneath it (a `gc` compaction).
+//! itself when the file shrinks or is replaced underneath it (a `gc`
+//! compaction).
 //! [`HeartbeatTail`] parses the lines as `mtasc.progress.v1` samples;
-//! [`IndexWatcher`] folds `index.jsonl` lines into the same
-//! last-line-wins manifest view [`RunStore::list`] produces, without
-//! re-reading the whole index on every poll.
+//! [`IndexWatcher`] folds `index.jsonl` lines into the last-line-wins
+//! manifest view, re-reading only appended bytes per poll. It is the one
+//! index fold in the crate: [`crate::RunStore::list`] is a one-shot
+//! watcher, and `mtasc serve` resolves every route from a long-lived one.
 
+use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -36,19 +39,27 @@ pub struct TailChunk {
 /// previous poll and returns the newly *completed* lines; a trailing
 /// partial line (a writer mid-append) is buffered, not returned, until
 /// its newline arrives. A missing file reads as empty — the writer may
-/// not have created it yet.
+/// not have created it yet. A file that shrank, or was replaced by
+/// another file under the same path, is read again from the top.
 #[derive(Debug)]
 pub struct LineTail {
     path: PathBuf,
     offset: u64,
     pending: Vec<u8>,
     lines_seen: usize,
+    identity: Option<FileIdentity>,
 }
 
 impl LineTail {
     /// Tail `path` from the beginning.
     pub fn new(path: impl Into<PathBuf>) -> LineTail {
-        LineTail { path: path.into(), offset: 0, pending: Vec::new(), lines_seen: 0 }
+        LineTail {
+            path: path.into(),
+            offset: 0,
+            pending: Vec::new(),
+            lines_seen: 0,
+            identity: None,
+        }
     }
 
     /// The file being tailed.
@@ -61,6 +72,16 @@ impl LineTail {
         self.lines_seen + 1
     }
 
+    /// Forget everything read so far; returns whether there was anything
+    /// to forget (derived state must then be rebuilt).
+    fn restart(&mut self) -> bool {
+        let had_state = self.offset > 0 || !self.pending.is_empty();
+        self.offset = 0;
+        self.pending.clear();
+        self.lines_seen = 0;
+        had_state
+    }
+
     /// Read newly appended bytes and return the newly completed lines.
     pub fn poll(&mut self) -> io::Result<TailChunk> {
         let mut file = match fs::File::open(&self.path) {
@@ -68,37 +89,63 @@ impl LineTail {
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 // the file may have been removed (gc) after we read some
                 // of it: report a reset so derived state is dropped too
-                let reset = self.offset > 0 || !self.pending.is_empty();
-                self.offset = 0;
-                self.pending.clear();
-                self.lines_seen = 0;
+                let reset = self.restart();
+                self.identity = None;
                 return Ok(TailChunk { lines: Vec::new(), reset });
             }
             Err(e) => return Err(e),
         };
-        let len = file.metadata()?.len();
-        let mut reset = false;
-        if len < self.offset {
-            // the file shrank: a compaction rewrote it; start over
-            self.offset = 0;
-            self.pending.clear();
-            self.lines_seen = 0;
-            reset = true;
-        }
+        let meta = file.metadata()?;
+        let identity = file_identity(&meta);
+        // a compaction rewrote the file: smaller than what we have read,
+        // or a fresh file renamed over the path; start over
+        let replaced = self.identity.is_some_and(|seen| seen != identity);
+        let reset = (meta.len() < self.offset || replaced) && self.restart();
+        self.identity = Some(identity);
         file.seek(SeekFrom::Start(self.offset))?;
-        let mut fresh = Vec::new();
-        file.read_to_end(&mut fresh)?;
-        self.offset += fresh.len() as u64;
-        self.pending.extend_from_slice(&fresh);
+        self.offset += file.read_to_end(&mut self.pending)? as u64;
+        // split every completed line off the buffer, then drop them all
+        // in one move: draining line by line is quadratic in a big read
         let mut lines = Vec::new();
-        while let Some(nl) = self.pending.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.pending.drain(..=nl).take(nl).collect();
-            lines.push(String::from_utf8_lossy(&line).into_owned());
-            self.lines_seen += 1;
+        let mut start = 0;
+        while let Some(nl) = self.pending[start..].iter().position(|&b| b == b'\n') {
+            lines.push(String::from_utf8_lossy(&self.pending[start..start + nl]).into_owned());
+            start += nl + 1;
         }
+        self.pending.drain(..start);
+        self.lines_seen += lines.len();
         Ok(TailChunk { lines, reset })
     }
+
+    /// Take the buffered partial last line, if any: a one-shot reader at
+    /// end of file has no writer to wait for.
+    fn take_partial(&mut self) -> Option<String> {
+        if self.pending.is_empty() {
+            return None;
+        }
+        let line = String::from_utf8_lossy(&self.pending).into_owned();
+        self.pending.clear();
+        Some(line)
+    }
 }
+
+/// Which file a path named when it was read: device and inode on unix.
+/// A compaction that renames a new file over the path changes it.
+#[cfg(unix)]
+type FileIdentity = (u64, u64);
+
+#[cfg(unix)]
+fn file_identity(meta: &fs::Metadata) -> FileIdentity {
+    use std::os::unix::fs::MetadataExt;
+    (meta.dev(), meta.ino())
+}
+
+/// Elsewhere a replaced file is only noticed when it shrank.
+#[cfg(not(unix))]
+type FileIdentity = ();
+
+#[cfg(not(unix))]
+fn file_identity(_meta: &fs::Metadata) -> FileIdentity {}
 
 /// One poll's worth of parsed heartbeats from a [`HeartbeatTail`].
 #[derive(Debug, Clone, PartialEq)]
@@ -148,14 +195,21 @@ impl HeartbeatTail {
 }
 
 /// An incremental reader of the registry index: folds newly appended
-/// `index.jsonl` lines into the same deduplicated, newest-first manifest
-/// view [`crate::RunStore::list`] computes from scratch, re-reading only
-/// the appended bytes per poll. When the index is compacted (shrinks),
-/// the watcher rebuilds from the top transparently.
+/// `index.jsonl` lines into the deduplicated, newest-first manifest view,
+/// re-reading only the appended bytes per poll. When the index is
+/// compacted (shrinks or is replaced), the watcher rebuilds from the top
+/// transparently.
+///
+/// This is the registry's only index fold — **last line wins**, so a
+/// run's finish line supersedes its begin line — and it costs O(1) per
+/// line through an id → slot map. [`crate::RunStore::list`] is a
+/// one-shot watcher over the whole file.
 #[derive(Debug)]
 pub struct IndexWatcher {
     tail: LineTail,
     metas: Vec<RunMeta>,
+    /// Position of each id in `metas`.
+    slots: HashMap<String, usize>,
     skipped: usize,
 }
 
@@ -165,6 +219,7 @@ impl IndexWatcher {
         IndexWatcher {
             tail: LineTail::new(root.as_ref().join(INDEX_FILE)),
             metas: Vec::new(),
+            slots: HashMap::new(),
             skipped: 0,
         }
     }
@@ -175,26 +230,64 @@ impl IndexWatcher {
         let chunk = self.tail.poll()?;
         if chunk.reset {
             self.metas.clear();
+            self.slots.clear();
             self.skipped = 0;
         }
-        let mut changed = false;
-        for line in chunk.lines.iter().filter(|l| !l.trim().is_empty()) {
-            match Json::parse(line).ok().as_ref().and_then(RunMeta::from_json) {
-                Some(meta) => {
-                    // last line wins: finish supersedes begin
-                    match self.metas.iter_mut().find(|m| m.id == meta.id) {
-                        Some(slot) => *slot = meta,
-                        None => self.metas.push(meta),
-                    }
-                    changed = true;
-                }
-                None => self.skipped += 1,
-            }
+        let mut added = false;
+        for line in &chunk.lines {
+            added |= self.fold(line);
         }
-        if changed {
-            self.metas.sort_by(|a, b| b.id.cmp(&a.id));
+        if added {
+            self.reorder();
         }
         Ok((&self.metas, self.skipped))
+    }
+
+    /// Read the whole index once: the fold [`crate::RunStore::list`]
+    /// returns. An unterminated last line is folded too (there is no
+    /// writer to wait for), and counts as skipped if it does not parse.
+    pub(crate) fn read_once(root: &Path) -> io::Result<(Vec<RunMeta>, usize)> {
+        let mut watcher = IndexWatcher::new(root);
+        watcher.poll()?;
+        if let Some(line) = watcher.tail.take_partial() {
+            if watcher.fold(&line) {
+                watcher.reorder();
+            }
+        }
+        Ok((watcher.metas, watcher.skipped))
+    }
+
+    /// Fold one index line; returns whether it added a new run id.
+    fn fold(&mut self, line: &str) -> bool {
+        if line.trim().is_empty() {
+            return false;
+        }
+        let Some(meta) = Json::parse(line).ok().as_ref().and_then(RunMeta::from_json) else {
+            self.skipped += 1;
+            return false;
+        };
+        match self.slots.get(&meta.id) {
+            Some(&slot) => {
+                self.metas[slot] = meta;
+                false
+            }
+            None => {
+                self.slots.insert(meta.id.clone(), self.metas.len());
+                self.metas.push(meta);
+                true
+            }
+        }
+    }
+
+    /// Restore newest-first order after new ids arrived (ids are ULIDs,
+    /// so id order is creation order) and re-point the slots.
+    fn reorder(&mut self) {
+        self.metas.sort_by(|a, b| b.id.cmp(&a.id));
+        for (slot, meta) in self.metas.iter().enumerate() {
+            if let Some(s) = self.slots.get_mut(&meta.id) {
+                *s = slot;
+            }
+        }
     }
 }
 
@@ -311,6 +404,47 @@ mod tests {
         assert_eq!(skipped, 0, "reset clears the malformed count too");
         let (full, _) = store.list().unwrap();
         assert_eq!(metas, &full[..]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn index_watcher_rebuilds_when_a_compaction_does_not_shrink_the_index() {
+        let dir = tmp_dir("swap");
+        let store = RunStore::open(&dir).unwrap();
+        let record = |i: u64| {
+            let mut m = RunMeta::begin("run", "k.asc", program_hash("k.asc"), "pes=16".into(), 16);
+            m.id = ulid_at(1_000 + i, i.into());
+            store.begin(m).unwrap().finish_ok(i, i).unwrap();
+        };
+        (0..3).for_each(record);
+        store.gc(10).unwrap(); // one line per run
+        let mut watcher = IndexWatcher::new(&dir);
+        assert_eq!(watcher.poll().unwrap().0.len(), 3);
+        // six more lines, then a compaction to four runs: the new index
+        // is longer than what the watcher has read, yet it is a new file
+        (3..6).for_each(record);
+        store.gc(4).unwrap();
+        let (metas, skipped) = watcher.poll().unwrap();
+        let (full, _) = store.list().unwrap();
+        assert_eq!(full.len(), 4);
+        assert_eq!(metas, &full[..], "the removed runs are gone from the view");
+        assert_eq!(skipped, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_shot_read_folds_an_unterminated_last_line() {
+        let dir = tmp_dir("once");
+        let mut m = RunMeta::begin("run", "a.asc", program_hash("a.asc"), "pes=16".into(), 16);
+        m.id = ulid_at(5, 5);
+        // a complete manifest without its newline still lists; a torn
+        // one is counted as skipped
+        append(&dir.join(INDEX_FILE), &m.to_json().to_compact());
+        let (metas, skipped) = IndexWatcher::read_once(&dir).unwrap();
+        assert_eq!((metas.len(), skipped), (1, 0));
+        append(&dir.join(INDEX_FILE), "\n{\"torn");
+        let (metas, skipped) = IndexWatcher::read_once(&dir).unwrap();
+        assert_eq!((metas.len(), skipped), (1, 1));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -26,8 +26,16 @@
 //!
 //! Every connection is `Connection: close` — one request, one response
 //! — which keeps the concurrency story exactly as simple as the thread
-//! pool. Shutdown is an [`AtomicBool`]: flip it (the CLI wires SIGINT /
-//! SIGTERM to it) and the accept loop drains the pool and returns.
+//! pool. The accept loop sleeps in `poll(2)` on the listener and wakes
+//! the moment a connection arrives. Shutdown is an [`AtomicBool`]: flip
+//! it (the CLI wires SIGINT / SIGTERM to it) and the loop notices within
+//! one bounded wait — at once for a signal, which interrupts the wait —
+//! then drains the pool and returns.
+//!
+//! Every route reads the registry through one shared incremental index
+//! reader ([`IndexWatcher`]): a request folds in only the index lines
+//! appended since the last one, then lists, resolves or exports from
+//! that view without cloning it.
 
 mod http;
 
@@ -44,8 +52,8 @@ use std::time::{Duration, Instant};
 
 use asc_core::obs::{diff_registries, diff_to_json, Histogram, Json, Profile, Registry, RunReport};
 use asc_obs_store::{
-    filter_list, list_to_json, prometheus_text, HeartbeatTail, IndexWatcher, Resolve, RunMeta,
-    RunStatus, RunStore, HEARTBEAT_FILE,
+    filter_list, list_to_json, prometheus_text, resolve_in, HeartbeatTail, IndexWatcher, Resolve,
+    RunMeta, RunStatus, RunStore, HEARTBEAT_FILE, META_FILE,
 };
 
 /// Schema id for the HTTP surface: the route shapes and document
@@ -54,6 +62,11 @@ pub const HTTP_SCHEMA: &str = "mtasc.http.v1";
 
 /// Bucket edges (milliseconds) for the request-duration histogram.
 const DURATION_BUCKETS_MS: [u64; 12] = [1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000];
+
+/// Longest one accept-loop wait lasts: how late the loop can notice a
+/// shutdown flag flipped without a signal, and how long it backs off
+/// when accepting fails for want of file descriptors.
+const ACCEPT_WAIT: Duration = Duration::from_millis(100);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -198,9 +211,14 @@ impl Server {
         Arc::clone(&self.shared.shutdown)
     }
 
-    /// Serve until the shutdown flag flips. Accepts on a nonblocking
-    /// listener so the flag is observed within ~20ms; dropping the
-    /// worker pool on the way out joins every in-flight request.
+    /// Serve until the shutdown flag flips. When no connection is
+    /// pending the loop waits on the listener and wakes as one arrives;
+    /// each wait is bounded by a fixed timeout (100ms), so the flag is
+    /// observed within it, and SIGINT/SIGTERM cut the wait short. A
+    /// failed accept stops the server only when the listener itself is
+    /// broken; a failed connection is skipped, and running out of file
+    /// descriptors backs off one wait and retries. Dropping the worker
+    /// pool on the way out joins every in-flight request.
     pub fn run(&self) -> io::Result<()> {
         let pool = ThreadPool::new(self.workers);
         while !self.shared.shutdown.load(Ordering::SeqCst) {
@@ -209,16 +227,97 @@ impl Server {
                     let shared = Arc::clone(&self.shared);
                     pool.execute(move || handle_connection(stream, &shared));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                Err(e) => match AcceptFailure::of(&e) {
+                    AcceptFailure::Idle => wait_readable(Some(&self.listener), ACCEPT_WAIT),
+                    AcceptFailure::Skip => {}
+                    AcceptFailure::Exhausted => wait_readable(None, ACCEPT_WAIT),
+                    AcceptFailure::Fatal => return Err(e),
+                },
             }
         }
         drop(pool); // barrier: joins workers, finishing in-flight requests
         Ok(())
     }
+}
+
+/// What a failed `accept()` means for the accept loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AcceptFailure {
+    /// No connection is pending (or a signal interrupted the call):
+    /// wait for the listener to become readable.
+    Idle,
+    /// One connection failed before it was accepted — the client reset
+    /// it, a firewall refused it, the network under it went away. Skip
+    /// it and accept the next.
+    Skip,
+    /// The process or the system is out of file descriptors or buffer
+    /// memory. Pending connections stay queued; wait, then retry.
+    Exhausted,
+    /// The listener itself is unusable: stop serving.
+    Fatal,
+}
+
+impl AcceptFailure {
+    /// Classify an `accept()` error.
+    fn of(e: &io::Error) -> AcceptFailure {
+        use io::ErrorKind::*;
+        // EMFILE, ENFILE, ENOBUFS: no stable `ErrorKind` names them
+        #[cfg(any(target_os = "linux", target_os = "android"))]
+        const OUT_OF_DESCRIPTORS: [i32; 3] = [24, 23, 105];
+        #[cfg(not(any(target_os = "linux", target_os = "android")))]
+        const OUT_OF_DESCRIPTORS: [i32; 3] = [24, 23, 55];
+        match e.kind() {
+            WouldBlock | Interrupted => AcceptFailure::Idle,
+            ConnectionAborted | ConnectionReset | ConnectionRefused | PermissionDenied
+            | TimedOut | HostUnreachable | NetworkUnreachable | NetworkDown => AcceptFailure::Skip,
+            OutOfMemory => AcceptFailure::Exhausted,
+            _ if e.raw_os_error().is_some_and(|n| OUT_OF_DESCRIPTORS.contains(&n)) => {
+                AcceptFailure::Exhausted
+            }
+            _ => AcceptFailure::Fatal,
+        }
+    }
+}
+
+/// Block until `listener` has a connection to accept, a signal arrives,
+/// or `timeout` passes — whichever is first. With no listener it is a
+/// sleep that a signal cuts short. Uses raw `poll(2)` through libc's
+/// ABI, as [`install_signal_shutdown`] uses `signal(2)`; SIGINT/SIGTERM
+/// interrupt `poll` even when handlers ask for restarted system calls.
+#[cfg(unix)]
+fn wait_readable(listener: Option<&TcpListener>, timeout: Duration) {
+    use std::os::unix::io::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type NFds = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type NFds = std::os::raw::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NFds, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+    // poll(2) ignores an entry with a negative fd and just waits
+    let fd = listener.map_or(-1, |l| l.as_raw_fd());
+    let mut entry = PollFd { fd, events: POLLIN, revents: 0 };
+    let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+    // SAFETY: `entry` is a live, `#[repr(C)]` pollfd for the whole call,
+    // nfds is 1, and poll(2) keeps no pointer to it after returning.
+    let ready = unsafe { poll(&mut entry, 1, timeout_ms) };
+    if ready < 0 && io::Error::last_os_error().kind() != io::ErrorKind::Interrupted {
+        // poll itself failed: wait the timeout out rather than spin
+        thread::sleep(timeout);
+    }
+}
+
+/// Non-unix targets keep a short sleep-and-retry loop.
+#[cfg(not(unix))]
+fn wait_readable(_listener: Option<&TcpListener>, _timeout: Duration) {
+    thread::sleep(Duration::from_millis(20));
 }
 
 /// Install SIGINT/SIGTERM handlers that store `true` into `flag`, so a
@@ -328,18 +427,19 @@ fn healthz(shared: &Shared) -> Handled {
     Ok(Response::json(200, doc.to_compact() + "\n"))
 }
 
-/// Snapshot the registry through the incremental index reader.
-fn snapshot(shared: &Shared) -> Result<Vec<RunMeta>, Response> {
+/// Bring the shared index view up to date and run `f` over it (newest
+/// first). The view is borrowed under the watcher's lock, so `f` should
+/// copy out only what the response needs.
+fn with_runs<T>(shared: &Shared, f: impl FnOnce(&[RunMeta]) -> T) -> Result<T, Response> {
     let mut watcher =
         shared.watcher.lock().map_err(|_| Response::error(500, "index watcher poisoned"))?;
     let (metas, _skipped) =
         watcher.poll().map_err(|e| Response::error(500, &format!("reading index: {e}")))?;
-    Ok(metas.to_vec())
+    Ok(f(metas))
 }
 
 fn metrics(shared: &Shared) -> Handled {
-    let metas = snapshot(shared)?;
-    let mut body = prometheus_text(&metas);
+    let mut body = with_runs(shared, prometheus_text)?;
     body.push_str(&shared.metrics.exposition());
     Ok(Response::ok("text/plain; version=0.0.4; charset=utf-8", body))
 }
@@ -355,8 +455,8 @@ fn list_runs(shared: &Shared, req: &Request) -> Handled {
     let limit = parse_query_usize(req, "limit")?;
     let offset = parse_query_usize(req, "offset")?.unwrap_or(0);
     let program = req.query_param("program");
-    let metas = snapshot(shared)?;
-    let (page, _total) = filter_list(metas, status, program, limit, offset);
+    let (page, _total) =
+        with_runs(shared, |metas| filter_list(metas, status, program, limit, offset))?;
     // Byte-for-byte the `mtasc runs list --json` document.
     Ok(Response::json(200, list_to_json(&page).to_pretty() + "\n"))
 }
@@ -370,14 +470,15 @@ fn parse_query_usize(req: &Request, name: &str) -> Result<Option<usize>, Respons
     }
 }
 
-/// Open the store and resolve a run id prefix to exactly one manifest.
-fn resolve(shared: &Shared, query: &str) -> Result<(RunStore, RunMeta), Response> {
-    let store = RunStore::open(&shared.root)
-        .map_err(|e| Response::error(500, &format!("opening registry: {e}")))?;
-    let resolved =
-        store.find(query).map_err(|e| Response::error(500, &format!("reading index: {e}")))?;
-    match resolved {
-        Resolve::One(meta) => Ok((store, *meta)),
+/// Resolve a run id prefix to exactly one manifest in the shared view.
+fn resolve(shared: &Shared, query: &str) -> Result<RunMeta, Response> {
+    resolved(with_runs(shared, |metas| resolve_in(metas, query))?, query)
+}
+
+/// Turn a resolution into the manifest or the error response.
+fn resolved(resolution: Resolve, query: &str) -> Result<RunMeta, Response> {
+    match resolution {
+        Resolve::One(meta) => Ok(*meta),
         Resolve::Ambiguous(ids) => Err(Response::error(
             409,
             &format!("run id `{query}` is ambiguous; it matches: {}", ids.join(", ")),
@@ -387,13 +488,13 @@ fn resolve(shared: &Shared, query: &str) -> Result<(RunStore, RunMeta), Response
 }
 
 fn show_run(shared: &Shared, id: &str) -> Handled {
-    let (_store, meta) = resolve(shared, id)?;
+    let meta = resolve(shared, id)?;
     Ok(Response::json(200, meta.to_json().to_pretty() + "\n"))
 }
 
 fn run_artifact(shared: &Shared, id: &str, name: &str) -> Handled {
-    let (store, meta) = resolve(shared, id)?;
-    let path = store.run_dir(&meta.id).join(name);
+    let meta = resolve(shared, id)?;
+    let path = shared.root.join(&meta.id).join(name);
     match std::fs::read(&path) {
         Ok(body) => Ok(Response { status: 200, content_type: "application/json", body }),
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
@@ -437,10 +538,13 @@ fn diff_runs(shared: &Shared, req: &Request, a: &str, b: &str) -> Handled {
             Response::error(400, &format!("`fail-on-regress` must be a number, got `{raw}`"))
         })?,
     };
-    let (store, meta_a) = resolve(shared, a)?;
-    let (_, meta_b) = resolve(shared, b)?;
-    let (kind_a, reg_a) = load_run_registry(&store.run_dir(&meta_a.id), &meta_a.id)?;
-    let (kind_b, reg_b) = load_run_registry(&store.run_dir(&meta_b.id), &meta_b.id)?;
+    // both operands resolve against one view of the index
+    let (found_a, found_b) =
+        with_runs(shared, |metas| (resolve_in(metas, a), resolve_in(metas, b)))?;
+    let meta_a = resolved(found_a, a)?;
+    let meta_b = resolved(found_b, b)?;
+    let (kind_a, reg_a) = load_run_registry(&shared.root.join(&meta_a.id), &meta_a.id)?;
+    let (kind_b, reg_b) = load_run_registry(&shared.root.join(&meta_b.id), &meta_b.id)?;
     if kind_a != kind_b {
         return Err(Response::error(
             409,
@@ -462,7 +566,7 @@ fn diff_runs(shared: &Shared, req: &Request, a: &str, b: &str) -> Handled {
 /// until the final sample lands, the run's manifest leaves `Running`,
 /// or the server shuts down. Returns the status for the self-metrics.
 fn stream_progress(stream: &mut TcpStream, shared: &Shared, id: &str) -> u16 {
-    let (store, meta) = match resolve(shared, id) {
+    let meta = match resolve(shared, id) {
         Ok(found) => found,
         Err(resp) => {
             let status = resp.status;
@@ -473,7 +577,7 @@ fn stream_progress(stream: &mut TcpStream, shared: &Shared, id: &str) -> u16 {
     if http::write_stream_head(stream, "text/event-stream").is_err() {
         return 0;
     }
-    let dir = store.run_dir(&meta.id);
+    let dir = shared.root.join(&meta.id);
     let mut tail = HeartbeatTail::new(dir.join(HEARTBEAT_FILE));
     let mut live = meta.status == RunStatus::Running;
     while let Ok(batch) = tail.poll() {
@@ -495,7 +599,7 @@ fn stream_progress(stream: &mut TcpStream, shared: &Shared, id: &str) -> u16 {
         // Still running: has the manifest moved on without a final
         // sample (e.g. a fault)? One more drain happens next loop turn
         // because `live` only flips after the re-check.
-        match current_status(&store, &meta.id) {
+        match current_status(&dir) {
             Some(RunStatus::Running) | None => {}
             Some(_) => live = false,
         }
@@ -503,17 +607,81 @@ fn stream_progress(stream: &mut TcpStream, shared: &Shared, id: &str) -> u16 {
     }
     let end = format!(
         "event: end\ndata: {{\"status\":\"{}\"}}\n\n",
-        current_status(&store, &meta.id).unwrap_or(meta.status).label()
+        current_status(&dir).unwrap_or(meta.status).label()
     );
     let _ = stream.write_all(end.as_bytes());
     let _ = stream.flush();
     200
 }
 
-/// Re-read a run's manifest for its current status (the index line may
-/// lag the manifest during a live run).
-fn current_status(store: &RunStore, id: &str) -> Option<RunStatus> {
-    let path = store.run_dir(id).join(asc_obs_store::META_FILE);
-    let text = std::fs::read_to_string(path).ok()?;
+/// Re-read a run's manifest (in run directory `dir`) for its current
+/// status (the index line may lag the manifest during a live run).
+fn current_status(dir: &Path) -> Option<RunStatus> {
+    let text = std::fs::read_to_string(dir.join(META_FILE)).ok()?;
     RunMeta::parse(&text).ok().map(|m| m.status)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn accept_failures_are_classified_by_kind() {
+        use io::ErrorKind::*;
+        let class = |kind: io::ErrorKind| AcceptFailure::of(&io::Error::from(kind));
+        for kind in [WouldBlock, Interrupted] {
+            assert_eq!(class(kind), AcceptFailure::Idle, "{kind:?}");
+        }
+        for kind in [
+            ConnectionAborted,
+            ConnectionReset,
+            ConnectionRefused,
+            PermissionDenied,
+            TimedOut,
+            HostUnreachable,
+            NetworkUnreachable,
+            NetworkDown,
+        ] {
+            assert_eq!(class(kind), AcceptFailure::Skip, "{kind:?}");
+        }
+        assert_eq!(class(OutOfMemory), AcceptFailure::Exhausted);
+        for kind in [InvalidInput, Unsupported, Other, NotFound] {
+            assert_eq!(class(kind), AcceptFailure::Fatal, "{kind:?}");
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn descriptor_exhaustion_waits_instead_of_stopping() {
+        // EMFILE and ENFILE share their numbers across unix targets
+        for errno in [24, 23] {
+            let e = io::Error::from_raw_os_error(errno);
+            assert_eq!(AcceptFailure::of(&e), AcceptFailure::Exhausted, "{e}");
+        }
+        // a broken listener (EBADF, EINVAL) still stops the server
+        for errno in [9, 22] {
+            let e = io::Error::from_raw_os_error(errno);
+            assert_eq!(AcceptFailure::of(&e), AcceptFailure::Fatal, "{e}");
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn wait_readable_wakes_on_a_connection() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(20));
+            TcpStream::connect(addr).unwrap()
+        });
+        let started = Instant::now();
+        wait_readable(Some(&listener), Duration::from_secs(5));
+        assert!(started.elapsed() < Duration::from_secs(2), "woke on the connection");
+        listener.accept().unwrap();
+        client.join().unwrap();
+        // with nothing to watch it is a bounded sleep
+        let started = Instant::now();
+        wait_readable(None, Duration::from_millis(30));
+        assert!(started.elapsed() >= Duration::from_millis(25));
+    }
 }

@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use asc_core::obs::{Json, ProgressSample, RunReport};
 use asc_core::{Machine, MachineConfig};
@@ -40,6 +40,14 @@ fn record_run(store: &RunStore, name: &str, cycle_budget: u64) -> String {
     handle.add_artifact("report.json");
     let finished = handle.finish_ok(stats.cycles, stats.issued).unwrap();
     finished.id
+}
+
+/// The shortest prefix of `id` (at least 10 characters) that `other`
+/// does not share. Runs recorded within one millisecond share their
+/// 10-character timestamp and differ only further in.
+fn unique_prefix<'a>(id: &'a str, other: &str) -> &'a str {
+    let shared = id.bytes().zip(other.bytes()).take_while(|(a, b)| a == b).count();
+    &id[..(shared + 1).max(10)]
 }
 
 fn start(root: &Path) -> (SocketAddr, Arc<AtomicBool>, JoinHandle<std::io::Result<()>>) {
@@ -97,7 +105,7 @@ fn list_show_artifact_and_errors() {
 
     // pagination + program filter narrow the same way filter_list does
     let (_, paged) = get(addr, "/api/v1/runs?limit=1&offset=1");
-    let (expect, _) = filter_list(metas.clone(), None, None, Some(1), 1);
+    let (expect, _) = filter_list(&metas, None, None, Some(1), 1);
     assert_eq!(paged, list_to_json(&expect).to_pretty() + "\n");
     let query = program_hash("alpha.asc");
     let (_, filtered) = get(addr, &format!("/api/v1/runs?program={query}"));
@@ -109,9 +117,9 @@ fn list_show_artifact_and_errors() {
     assert_eq!(status, 400);
 
     // unique-prefix resolution on /api/v1/runs/<id>
-    let prefix = &id_b[..10];
+    let prefix = unique_prefix(&id_b, &id_a);
     let (status, body) = get(addr, &format!("/api/v1/runs/{prefix}"));
-    assert_eq!(status, 200);
+    assert_eq!(status, 200, "{body}");
     let meta = Json::parse(&body).unwrap();
     assert_eq!(meta.get("id").and_then(Json::as_str), Some(id_b.as_str()));
     let (status, _) = get(addr, "/api/v1/runs/ZZZZZZ");
@@ -337,7 +345,64 @@ fn shutdown_flag_stops_the_accept_loop() {
     let (status, _) = get(addr, "/healthz");
     assert_eq!(status, 200);
     shutdown.store(true, Ordering::SeqCst);
+    let flipped = Instant::now();
     handle.join().unwrap().unwrap();
+    let waited = flipped.elapsed();
+    assert!(waited < Duration::from_secs(1), "accept loop took {waited:?} to stop");
     // the socket is released: connecting now fails (or is refused fast)
     assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
+}
+
+#[test]
+fn sequential_requests_are_not_held_back_by_the_accept_loop() {
+    let root = tmp_root("back-to-back");
+    RunStore::open(&root).unwrap();
+    let (addr, shutdown, handle) = start(&root);
+    let started = Instant::now();
+    for _ in 0..20 {
+        let (status, _) = get(addr, "/healthz");
+        assert_eq!(status, 200);
+    }
+    let took = started.elapsed();
+    // a 20ms sleep between accepts would make this at least 400ms
+    assert!(took < Duration::from_millis(200), "20 sequential /healthz took {took:?}");
+    shutdown.store(true, Ordering::SeqCst);
+    handle.join().unwrap().unwrap();
+}
+
+#[test]
+fn routes_see_new_runs_and_compactions_at_once() {
+    let root = tmp_root("fresh");
+    let store = RunStore::open(&root).unwrap();
+    let first = record_run(&store, "first.asc", 10_000);
+    let (addr, shutdown, handle) = start(&root);
+    let listing = || list_to_json(&store.list().unwrap().0).to_pretty() + "\n";
+    assert_eq!(get(addr, "/api/v1/runs"), (200, listing()));
+
+    // a run recorded after the server's first request resolves by prefix
+    // and lists on the very next requests
+    let second = record_run(&store, "second.asc", 10_000);
+    let prefix = unique_prefix(&second, &first).to_lowercase();
+    let (status, body) = get(addr, &format!("/api/v1/runs/{prefix}"));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(Json::parse(&body).unwrap().get("id").and_then(Json::as_str), Some(&*second));
+    let (status, body) = get(addr, "/api/v1/runs");
+    assert_eq!((status, &body), (200, &listing()));
+    assert!(body.contains(&second) && body.contains(&first));
+
+    // gc compacts the index under the running server: the pruned run is
+    // gone from every route, and the listing matches the CLI's again
+    assert_eq!(store.gc(1).unwrap(), vec![first.clone()]);
+    let (status, body) = get(addr, &format!("/api/v1/runs/{first}"));
+    assert_eq!(status, 404, "{body}");
+    let (status, _) = get(addr, &format!("/api/v1/runs/{first}/report"));
+    assert_eq!(status, 404);
+    let (status, body) = get(addr, "/api/v1/runs");
+    assert_eq!((status, &body), (200, &listing()));
+    assert!(!body.contains(&first));
+    let (_, metrics) = get(addr, "/metrics");
+    assert!(metrics.contains("mtasc_runs_total{status=\"ok\"} 1"), "{metrics}");
+
+    shutdown.store(true, Ordering::SeqCst);
+    handle.join().unwrap().unwrap();
 }
