@@ -28,6 +28,14 @@ if [ -n "$EXTERNAL" ]; then
     exit 1
 fi
 
+echo "==> tablegen archive (every experiment table, byte for byte)"
+# Simulated cycles are the paper's result: every table and figure that
+# tablegen regenerates must match the committed archive exactly. After an
+# intended change, regenerate it with
+# ./target/release/tablegen > docs/experiments_output.txt
+# and update the numbers quoted in EXPERIMENTS.md.
+./target/release/tablegen | diff -u docs/experiments_output.txt -
+
 echo "==> mtasc lint (deny warnings: examples + kernel corpus)"
 # The committed corpus must stay lint-clean; see docs/static-analysis.md.
 for prog in examples/programs/*; do
@@ -275,6 +283,13 @@ fi
 
 echo "==> cargo bench --no-run (benches compile)"
 cargo bench --workspace --no-run
+
+echo "==> zero-allocation issue path (obs_overhead, every observer mode)"
+# The bench binary asserts, before timing anything, that stepping the
+# sort kernel performs zero heap allocations with nothing attached, a
+# ring sink, the profiler, the progress sampler, and all three at once.
+# Smoke mode (--test) runs the assertion and one iteration per bench.
+cargo bench -p asc-bench --bench obs_overhead -- --test
 
 echo "==> kernel bench smoke-compare (quick mode, vs BENCH_kernels.json)"
 # Median-of-5 wall times against the committed baseline; fails on any

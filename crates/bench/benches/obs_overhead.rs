@@ -1,21 +1,23 @@
-//! Trace-emission overhead benchmark: the associative selection sort
-//! kernel run bare versus with a ring-buffer trace sink attached.
+//! Observer overhead benchmark: the associative selection sort kernel
+//! run bare, with each observer (ring-buffer trace sink, profiler,
+//! progress sampler) attached, and with all three at once.
 //!
-//! The observability layer's contract is "near-zero cost when no sink is
-//! attached" — every emit site is gated on `sink.is_some()` so events are
-//! never even constructed on the bare path. This benchmark makes the
-//! contract measurable: `obs_overhead/no_sink` is the baseline and
-//! `obs_overhead/ring_sink` the fully-traced run; the acceptance target
+//! The observability layer's contract is "near-zero cost when nothing is
+//! attached" — the machine's one event path checks each observer for
+//! `None` and never constructs an event on the bare path. This benchmark
+//! makes the contract measurable: `obs_overhead/no_sink` is the baseline
+//! and `obs_overhead/ring_sink` the fully-traced run; the acceptance target
 //! is the no-sink path staying within 3% of the seed simulator (i.e. the
 //! per-iteration times printed for `no_sink` should be indistinguishable
 //! from the pre-observability simulator, and attaching a ring sink should
 //! cost only the event construction itself).
 //!
 //! Beyond timing, the binary *asserts* the stronger form of the contract
-//! before benchmarking: with no sink attached, the steady-state issue
-//! path performs **zero heap allocations**. A counting global allocator
+//! before benchmarking: in every mode, the steady-state issue path
+//! performs **zero heap allocations**. A counting global allocator
 //! watches `alloc`/`realloc`/`alloc_zeroed` while the sort kernel is
-//! stepped to completion; any allocation fails the run.
+//! stepped to completion; any allocation fails the run. ci.sh runs this
+//! check (`cargo bench -p asc-bench --bench obs_overhead -- --test`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
@@ -108,22 +110,40 @@ enum Mode {
     /// Progress sampler snapshotting every cycle into its bounded ring
     /// (the `mtasc run --progress` machinery, minus the I/O sink).
     Progress,
+    /// Ring sink, profiler and progress sampler together.
+    All,
+}
+
+/// Every mode, with its benchmark label.
+const MODES: [(&str, Mode); 5] = [
+    ("no_sink", Mode::Bare),
+    ("ring_sink", Mode::RingSink),
+    ("profiler", Mode::Profiler),
+    ("progress", Mode::Progress),
+    ("all", Mode::All),
+];
+
+/// A machine loaded with the sort kernel and its input, with `mode`'s
+/// observers attached.
+fn sort_machine(program: &Program, values: &[Word], mode: Mode) -> Machine {
+    let mut m = Machine::with_program(MachineConfig::new(N), program).unwrap();
+    if matches!(mode, Mode::RingSink | Mode::All) {
+        let ring = Rc::new(RefCell::new(RingBufferSink::new(RING_CAPACITY)));
+        m.attach_sink(SinkHandle::shared(ring));
+    }
+    if matches!(mode, Mode::Profiler | Mode::All) {
+        m.attach_profiler();
+    }
+    if matches!(mode, Mode::Progress | Mode::All) {
+        m.attach_progress(ProgressSampler::new(1, RING_CAPACITY));
+    }
+    m.array_mut().scatter_column(0, values).unwrap();
+    m
 }
 
 /// One full simulated run under the given observability mode.
 fn run_sort(program: &Program, values: &[Word], mode: Mode) -> u64 {
-    let mut m = Machine::with_program(MachineConfig::new(N), program).unwrap();
-    match mode {
-        Mode::Bare => {}
-        Mode::RingSink => {
-            let ring = Rc::new(RefCell::new(RingBufferSink::new(RING_CAPACITY)));
-            m.attach_sink(SinkHandle::shared(ring));
-        }
-        Mode::Profiler => m.attach_profiler(),
-        Mode::Progress => m.attach_progress(ProgressSampler::new(1, RING_CAPACITY)),
-    }
-    m.array_mut().scatter_column(0, values).unwrap();
-    m.run(1_000_000).unwrap().cycles
+    sort_machine(program, values, mode).run(1_000_000).unwrap().cycles
 }
 
 fn bench_obs_overhead(c: &mut Criterion) {
@@ -133,12 +153,7 @@ fn bench_obs_overhead(c: &mut Criterion) {
         (0..N as i64).map(|i| Word::from_i64((i * 37) % 101, cfg.width)).collect();
 
     let mut g = c.benchmark_group("obs_overhead");
-    for (label, mode) in [
-        ("no_sink", Mode::Bare),
-        ("ring_sink", Mode::RingSink),
-        ("profiler", Mode::Profiler),
-        ("progress", Mode::Progress),
-    ] {
+    for (label, mode) in MODES {
         g.bench_with_input(BenchmarkId::from_parameter(label), &mode, |b, &mode| {
             b.iter(|| black_box(run_sort(&program, &values, mode)))
         });
@@ -146,35 +161,30 @@ fn bench_obs_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// Assert the detached paths never touch the heap: build and seed the
-/// machine (allocating freely), then snapshot the allocation counter and
-/// step to completion. `Machine::run` is avoided because it clones
-/// `Stats` (which owns vectors) on return; `step` is exactly the
-/// per-cycle path the benchmark times. Checked twice:
+/// Assert the issue path never touches the heap, in every mode: build
+/// and seed the machine (allocating freely), then snapshot the
+/// allocation counter and step to completion. `Machine::run` is avoided
+/// because it clones `Stats` (which owns vectors) on return; `step` is
+/// exactly the per-cycle path the benchmark times. The modes:
 ///
 /// 1. nothing attached — the profiler-off, sink-off baseline;
-/// 2. profiler attached — its rows are pre-sized at attach time, so the
+/// 2. ring sink — its ring is pre-sized to a capacity above the run's
+///    event count, and events are `Copy`;
+/// 3. profiler attached — its rows are pre-sized at attach time, so the
 ///    steady-state recording path must also be allocation-free;
-/// 3. progress sampler attached at cadence 1 (a sample EVERY cycle, the
+/// 4. progress sampler attached at cadence 1 (a sample EVERY cycle, the
 ///    worst case) — its ring is pre-sized and samples are `Copy`, so
 ///    sampling must never touch the heap either. The I/O sink the CLI
 ///    attaches is deliberately absent: the contract covers the issue
-///    path, not heartbeat serialization.
-fn assert_detached_and_profiled_steps_are_allocation_free() {
+///    path, not heartbeat serialization;
+/// 5. all three at once — the observers share one event path.
+fn assert_observed_steps_are_allocation_free() {
     let program = assemble(&sort_source(N)).expect("sort kernel assembles");
     let cfg = MachineConfig::new(N);
     let values: Vec<Word> =
         (0..N as i64).map(|i| Word::from_i64((i * 37) % 101, cfg.width)).collect();
-    for (label, mode) in
-        [("no-sink", Mode::Bare), ("profiler-on", Mode::Profiler), ("progress-on", Mode::Progress)]
-    {
-        let mut m = Machine::with_program(cfg, &program).unwrap();
-        match mode {
-            Mode::Bare | Mode::RingSink => {}
-            Mode::Profiler => m.attach_profiler(),
-            Mode::Progress => m.attach_progress(ProgressSampler::new(1, RING_CAPACITY)),
-        }
-        m.array_mut().scatter_column(0, &values).unwrap();
+    for (label, mode) in MODES {
+        let mut m = sort_machine(&program, &values, mode);
 
         let before = ALLOC_CALLS.load(Ordering::Relaxed);
         let mut steps: u64 = 0;
@@ -200,7 +210,7 @@ fn main() {
     // Under `--list` only bench names may be printed; the assertion runs
     // in every other mode (including `--test` smoke runs in CI).
     if !std::env::args().any(|a| a == "--list") {
-        assert_detached_and_profiled_steps_are_allocation_free();
+        assert_observed_steps_are_allocation_free();
     }
     benches();
 }

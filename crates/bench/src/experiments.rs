@@ -2,8 +2,12 @@
 //! rendered table so `tablegen`, the tests, and `EXPERIMENTS.md` share one
 //! source of truth.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use asc_asm::assemble;
 use asc_core::baseline::run_nonpipelined;
+use asc_core::obs::{MemorySink, SinkHandle, TraceEvent};
 use asc_core::pipeline::{control_unit_organization, hazard_diagram, pipeline_organization};
 use asc_core::{Machine, MachineConfig, StallReason, Stats};
 use asc_fpga::{max_pes_on, ClockModel, Device, FpgaConfig, ResourceReport};
@@ -24,6 +28,18 @@ fn run(cfg: MachineConfig, src: &str) -> Stats {
     let program = assemble(src).unwrap_or_else(|e| panic!("{e:?}"));
     let mut m = Machine::with_program(cfg, &program).unwrap();
     m.run(MAX).unwrap()
+}
+
+/// Run `src` with an in-memory trace sink attached; returns the machine
+/// and every event it emitted.
+fn traced_run(cfg: MachineConfig, src: &str) -> (Machine, Vec<TraceEvent>) {
+    let program = assemble(src).unwrap_or_else(|e| panic!("{e:?}"));
+    let mut m = Machine::with_program(cfg, &program).unwrap();
+    let mem = Rc::new(RefCell::new(MemorySink::new()));
+    m.attach_sink(SinkHandle::shared(mem.clone()));
+    m.run(MAX).unwrap();
+    let events = mem.borrow().events().to_vec();
+    (m, events)
 }
 
 // ===================================================================== E1
@@ -61,14 +77,15 @@ pub fn fig2() -> String {
     ];
     let mut out = String::new();
     for (title, src) in cases {
-        let cfg = MachineConfig::prototype();
-        let program = assemble(src).unwrap();
-        let mut m = Machine::with_program(cfg, &program).unwrap();
-        m.enable_trace();
-        m.run(MAX).unwrap();
-        let records: Vec<_> = m.trace().unwrap()[..2].to_vec();
+        let (m, events) = traced_run(MachineConfig::prototype(), src);
+        // the hazard pair, without the trailing `halt`
+        let pair: Vec<_> = events
+            .into_iter()
+            .filter(|ev| matches!(ev, TraceEvent::Issue { .. }))
+            .take(2)
+            .collect();
         out.push_str(&format!("--- {title} ---\n"));
-        out.push_str(&hazard_diagram(&records, &m.timing()));
+        out.push_str(&hazard_diagram(&pair, &m.timing()));
         out.push('\n');
     }
     out
@@ -894,18 +911,15 @@ pub fn occupancy() -> String {
         ("1 thread", micro_cfg(1024).single_threaded(), micro::unrolled_chain(15 * 60, 8)),
         ("15 threads", micro_cfg(1024), micro::unrolled_fleet(15, 60, 8)),
     ] {
-        let program = assemble(&src).unwrap();
-        let mut m = Machine::with_program(cfg, &program).unwrap();
-        m.enable_trace();
-        m.run(MAX).unwrap();
+        let (m, events) = traced_run(cfg, &src);
         let t = m.timing();
         // a reduction occupies the tree during its R stages:
         // cycles [issue+b+2, issue+b+r+1]
         let mut deltas: Vec<(u64, i64)> = Vec::new();
-        for rec in m.trace().unwrap() {
-            if rec.instr.class() == asc_isa::InstrClass::Reduction {
-                deltas.push((rec.cycle + t.b + 2, 1));
-                deltas.push((rec.cycle + t.b + t.r + 2, -1));
+        for ev in events {
+            if let TraceEvent::Issue { cycle, class: asc_isa::InstrClass::Reduction, .. } = ev {
+                deltas.push((cycle + t.b + 2, 1));
+                deltas.push((cycle + t.b + t.r + 2, -1));
             }
         }
         deltas.sort_unstable();

@@ -855,13 +855,11 @@ pub fn cmd_run(source: &str, opts: MachineOpts) -> Result<String, CliError> {
         Machine::with_program(cfg, &program).map_err(|e| CliError::Failure(e.to_string()))?;
     let mut rec = begin_record("run", &opts, source, &m)?;
     let sampled = attach_progress(&mut m, &opts, rec.as_ref())?;
-    if opts.trace {
-        m.enable_trace();
-    }
-    // --trace-chrome needs the whole event stream in memory; when it is
-    // requested the JSON-Lines file (if any) is written from the same
-    // buffer after the run instead of streaming.
-    let mem = if opts.trace_chrome.is_some() {
+    // the pipeline diagram (--trace) and --trace-chrome need the whole
+    // event stream in memory; when either is requested the JSON-Lines
+    // file (if any) is written from the same buffer after the run instead
+    // of streaming.
+    let mem = if opts.trace || opts.trace_chrome.is_some() {
         let mem = Rc::new(RefCell::new(MemorySink::new()));
         m.attach_sink(SinkHandle::shared(mem.clone()));
         Some(mem)
@@ -926,9 +924,9 @@ pub fn cmd_run(source: &str, opts: MachineOpts) -> Result<String, CliError> {
             let _ = writeln!(out, "  s{r:<2} = {:>6}  ({})", v.to_u32(), v.to_i64(cfg.width));
         }
     }
-    if opts.trace {
+    if let Some(mem) = mem.as_ref().filter(|_| opts.trace) {
         let _ = writeln!(out, "\npipeline diagram:");
-        out.push_str(&hazard_diagram(m.trace().unwrap(), &t));
+        out.push_str(&hazard_diagram(mem.borrow().events(), &t));
     }
     if let Some(path) = &opts.report {
         let report = RunReport::from_machine(&m);
@@ -2283,6 +2281,41 @@ mod tests {
         // stays quiet
         let out = cmd_run("halt\n", MachineOpts::default()).unwrap();
         assert!(!out.contains("trace is lossy"), "{out}");
+    }
+
+    #[test]
+    fn trace_diagram_and_json_lines_share_one_event_stream() {
+        // --trace buffers the events in memory, so --trace-json is written
+        // from that buffer: it must match the streamed file byte for byte
+        let src = include_str!("../../../examples/programs/findmax.asc");
+        let dir = std::env::temp_dir().join(format!("mtasc_trace_both_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let streamed = path("streamed.jsonl");
+        let buffered = path("buffered.jsonl");
+        let out = cmd_run(
+            src,
+            MachineOpts { trace_json: Some(streamed.clone()), ..MachineOpts::default() },
+        )
+        .unwrap();
+        assert!(!out.contains("pipeline diagram"), "{out}");
+        let out = cmd_run(
+            src,
+            MachineOpts {
+                trace: true,
+                trace_json: Some(buffered.clone()),
+                ..MachineOpts::default()
+            },
+        )
+        .unwrap();
+        assert!(out.contains("\npipeline diagram:\n"), "{out}");
+        // one diagram row per issued instruction
+        assert!(out.contains("rmax s1, p2 ") && out.contains("halt "), "{out}");
+        assert!(out.contains(&format!("trace events written to {buffered}")), "{out}");
+        let (a, b) = (std::fs::read(&streamed).unwrap(), std::fs::read(&buffered).unwrap());
+        assert!(!a.is_empty());
+        assert_eq!(a, b, "--trace changed the --trace-json bytes");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -41,6 +41,32 @@ fn runtime_failures_exit_one() {
 }
 
 #[test]
+fn deeply_nested_json_fails_cleanly() {
+    // far past the parser's depth limit (and any thread's stack, were the
+    // parser unbounded): a validation failure, not an abort
+    let dir = scratch("deep");
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(100_000)).unwrap();
+    let out = mtasc().args(["stats", "validate", deep.to_str().unwrap()]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let text = String::from_utf8_lossy(&out.stderr);
+    assert!(text.contains("nesting deeper than 128 levels"), "{text}");
+
+    // the same document on stdin through `stats diff -`
+    let mut child = mtasc()
+        .args(["stats", "diff", "-", deep.to_str().unwrap()])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child.stdin.take().unwrap().write_all("[".repeat(100_000).as_bytes()).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "{}", String::from_utf8_lossy(&out.stderr));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn stats_diff_exit_codes_and_stdin() {
     let dir = scratch("diff");
     let prog = dir.join("prog.asc");

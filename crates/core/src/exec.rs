@@ -12,6 +12,7 @@
 //! (`crate::fusion`) runs those chains tile-by-tile.
 
 use asc_isa::{Instr, Word};
+use asc_network::NetUnit;
 use asc_pe::Src;
 
 use crate::error::RunError;
@@ -257,7 +258,7 @@ impl Machine {
                 let values = self.array.gpr_plane(thread, pa.index());
                 let v = self.net.reduce(op, values, &self.amask, w);
                 self.sregs.write(thread, sd.index(), v);
-                self.emit_net_reduce(thread, pc, asc_network::NetUnit::for_reduce(op));
+                self.obs.net_reduce(self.cycle, thread, pc, NetUnit::for_reduce(op), self.timing.r);
                 Ok(Effect::Next)
             }
             RCount { sd, fa, mask } => {
@@ -265,7 +266,7 @@ impl Machine {
                 let flags = self.array.flag_plane(thread, fa.index());
                 let v = self.net.count_responders(flags, &self.amask, w);
                 self.sregs.write(thread, sd.index(), v);
-                self.emit_net_reduce(thread, pc, asc_network::NetUnit::Counter);
+                self.obs.net_reduce(self.cycle, thread, pc, NetUnit::Counter, self.timing.r);
                 Ok(Effect::Next)
             }
             RFlag { op, fd, fa, mask } => {
@@ -273,7 +274,7 @@ impl Machine {
                 let flags = self.array.flag_plane(thread, fa.index());
                 let v = self.net.reduce_flags(op, flags, &self.amask);
                 self.sflags.write(thread, fd.index(), v);
-                self.emit_net_reduce(thread, pc, asc_network::NetUnit::Logic);
+                self.obs.net_reduce(self.cycle, thread, pc, NetUnit::Logic, self.timing.r);
                 Ok(Effect::Next)
             }
             PFirst { fd, fa, mask } => {
@@ -282,7 +283,7 @@ impl Machine {
                     .net
                     .first_responder(self.array.flag_plane(thread, fa.index()), &self.amask);
                 self.array.write_first_responder(thread, fd, hit, &self.amask);
-                self.emit_net_reduce(thread, pc, asc_network::NetUnit::Resolver);
+                self.obs.net_reduce(self.cycle, thread, pc, NetUnit::Resolver, self.timing.r);
                 Ok(Effect::Next)
             }
             RGet { sd, pa, fa, mask } => {
@@ -293,7 +294,7 @@ impl Machine {
                 let v =
                     hit.map(|i| self.array.gpr_plane(thread, pa.index())[i]).unwrap_or(Word::ZERO);
                 self.sregs.write(thread, sd.index(), v);
-                self.emit_net_reduce(thread, pc, asc_network::NetUnit::Resolver);
+                self.obs.net_reduce(self.cycle, thread, pc, NetUnit::Resolver, self.timing.r);
                 Ok(Effect::Next)
             }
         }

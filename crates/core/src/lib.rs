@@ -52,7 +52,7 @@ pub use config::{FetchModel, MachineConfig, SchedPolicy};
 pub use emulator::Emulator;
 pub use error::RunError;
 pub use fusion::{cut_reason, fusible_runs, CutReason, FusibleRun, FusionStats, MIN_BLOCK_LEN};
-pub use machine::{IssueRecord, Machine, Step};
+pub use machine::{Machine, Step};
 pub use obs::{Profile, RingBufferSink, RunReport, SinkHandle, TraceEvent, TraceSink};
 pub use stats::{StallReason, Stats};
 pub use timing::Timing;

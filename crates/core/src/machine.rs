@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 
 use asc_asm::Program;
 use asc_isa::{decode, DecodeError, Instr, InstrClass, Operand, RegClass, Word};
-use asc_network::{NetUnit, Network};
+use asc_network::Network;
 use asc_pe::{
     DividerConfig, FlagFile, LocalMemory, MultiplierKind, PeArray, RegFile, SequentialUnit,
 };
@@ -29,27 +29,14 @@ use asc_pe::{
 use crate::config::{FetchModel, MachineConfig, SchedPolicy};
 use crate::error::RunError;
 use crate::exec::Effect;
+use crate::obs::observer::Observers;
 use crate::obs::profile::Profile;
-use crate::obs::progress::{ProgressSample, ProgressSampler};
-use crate::obs::{SeqUnit, SinkHandle, ThreadTransition, TraceEvent};
+use crate::obs::progress::ProgressSampler;
+use crate::obs::{SeqUnit, SinkHandle, ThreadTransition};
 use crate::scoreboard::{Scoreboard, NO_PRODUCER_PC};
 use crate::stats::{StallReason, Stats};
 use crate::threads::{ThreadState, ThreadTable};
 use crate::timing::Timing;
-
-/// One issue event, recorded when tracing is enabled (the pipeline-diagram
-/// renderers consume these).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IssueRecord {
-    /// Cycle at which the instruction issued (entered SR).
-    pub cycle: u64,
-    /// Issuing thread.
-    pub thread: usize,
-    /// Instruction address.
-    pub pc: u32,
-    /// The instruction.
-    pub instr: Instr,
-}
 
 /// Result of a single [`Machine::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,10 +92,8 @@ pub struct Machine {
     pub(crate) net: Network,
     pub(crate) threads: ThreadTable,
     score: Scoreboard,
-    mul_scalar: SequentialUnit,
-    div_scalar: SequentialUnit,
-    mul_parallel: SequentialUnit,
-    div_parallel: SequentialUnit,
+    /// The sequential multiplier/divider units, indexed by [`SeqUnit`].
+    seq_units: [SequentialUnit; 4],
     pub(crate) cycle: u64,
     halted: bool,
     rotate: usize,
@@ -124,15 +109,9 @@ pub struct Machine {
     ibuf: Vec<usize>,
     fetch_rotate: usize,
     stats: Stats,
-    trace: Option<Vec<IssueRecord>>,
-    /// Attached observability sink (shared by clones of this machine).
-    sink: Option<SinkHandle>,
-    /// Attached cycle-attribution profiler (boxed: the row table is large
-    /// and the common case is "not attached").
-    profiler: Option<Box<Profile>>,
-    /// Attached progress sampler (boxed for the same reason; the ring is
-    /// pre-sized so the sampling path never allocates).
-    progress: Option<Box<ProgressSampler>>,
+    /// Attached trace sink, profiler and progress sampler: every event
+    /// reaches them through one call on this value.
+    pub(crate) obs: Observers,
     /// Completion cycles of in-flight broadcast-tree operations (queue
     /// depth sampling).
     bcast_inflight: VecDeque<u64>,
@@ -174,10 +153,7 @@ impl Machine {
             net: Network::new(cfg.network()),
             threads: ThreadTable::new(cfg.threads),
             score: Scoreboard::new(cfg.threads),
-            mul_scalar: SequentialUnit::new(),
-            div_scalar: SequentialUnit::new(),
-            mul_parallel: SequentialUnit::new(),
-            div_parallel: SequentialUnit::new(),
+            seq_units: Default::default(),
             cycle: 0,
             halted: false,
             rotate: 0,
@@ -188,10 +164,7 @@ impl Machine {
             ibuf: vec![0; cfg.threads],
             fetch_rotate: 0,
             stats: Stats::new(cfg.threads),
-            trace: None,
-            sink: None,
-            profiler: None,
-            progress: None,
+            obs: Observers::default(),
             bcast_inflight: VecDeque::with_capacity(bcast_cap),
             red_inflight: VecDeque::with_capacity(red_cap),
             fusion_plan: None,
@@ -232,98 +205,67 @@ impl Machine {
             self.cfg.fusion.then(|| crate::fusion::FusionPlan::build(&self.imem, &self.cfg));
         self.fusion_dyn = crate::fusion::FusionStats::default();
         self.fused_remaining.iter_mut().for_each(|r| *r = 0);
-        // re-shape the profiler's row table for the new program (pre-sized
-        // here so the record path never allocates)
-        if let Some(p) = &mut self.profiler {
-            p.reset(self.cfg.threads, self.imem.len());
-        }
+        self.obs.program_loaded(self.cfg.threads, self.imem.len());
         Ok(())
     }
 
-    /// Record every issue (for pipeline diagrams). Call before running.
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
+    // The observers attached below are fed from one event path
+    // (`crate::obs::observer`): each event kind is emitted at a single
+    // point, and with nothing attached it constructs nothing.
 
-    /// The recorded issue trace, if tracing was enabled.
-    pub fn trace(&self) -> Option<&[IssueRecord]> {
-        self.trace.as_deref()
-    }
-
-    /// Attach an observability sink; every subsequent
-    /// [`crate::obs::TraceEvent`] is delivered to it. With no sink
-    /// attached, instrumentation costs one `Option` check per site.
+    /// Attach a trace sink; every subsequent [`crate::obs::TraceEvent`]
+    /// is delivered to it.
     pub fn attach_sink(&mut self, sink: SinkHandle) {
-        self.sink = Some(sink);
+        self.obs.sink = Some(sink);
     }
 
     /// Detach the sink (returning it), e.g. to stop tracing mid-run.
     pub fn detach_sink(&mut self) -> Option<SinkHandle> {
-        self.sink.take()
+        self.obs.sink.take()
     }
 
     /// The attached sink, if any.
     pub fn sink(&self) -> Option<&SinkHandle> {
-        self.sink.as_ref()
+        self.obs.sink.as_ref()
     }
 
     /// Attach a cycle-attribution profiler: every subsequent cycle is
     /// charged to a `(thread, pc, stall-reason)` triple (see
     /// [`crate::obs::profile`]). The row table is sized for the loaded
-    /// program immediately, so the hot record path never allocates. With
-    /// no profiler attached each hook costs one `Option` check.
+    /// program immediately, so the hot record path never allocates.
     pub fn attach_profiler(&mut self) {
-        self.profiler = Some(Box::new(Profile::new(self.cfg.threads, self.imem.len())));
+        self.obs.profiler = Some(Box::new(Profile::new(self.cfg.threads, self.imem.len())));
     }
 
     /// The attached profiler's current attribution, if any. Finalized
     /// (drain charged, conservation exact) only after [`Machine::run`]
     /// returns.
     pub fn profile(&self) -> Option<&Profile> {
-        self.profiler.as_deref()
+        self.obs.profiler.as_deref()
     }
 
     /// Detach and return the profiler.
     pub fn take_profile(&mut self) -> Option<Profile> {
-        self.profiler.take().map(|b| *b)
+        self.obs.profiler.take().map(|b| *b)
     }
 
     /// Attach a progress sampler: the run counters are snapshotted into
     /// the sampler's bounded ring (and streamed to its sink, if any)
     /// every `sampler.every()` cycles, plus once after the pipeline
     /// drains (the *final* sample, whose cycle equals `Stats::cycles`).
-    /// With no sampler attached the hook costs one `Option` check per
-    /// step; with one attached but no sample due, one extra compare.
+    /// With one attached but no sample due, a step costs one compare.
     pub fn attach_progress(&mut self, sampler: ProgressSampler) {
-        self.progress = Some(Box::new(sampler));
+        self.obs.progress = Some(Box::new(sampler));
     }
 
     /// The attached progress sampler, if any.
     pub fn progress(&self) -> Option<&ProgressSampler> {
-        self.progress.as_deref()
+        self.obs.progress.as_deref()
     }
 
     /// Detach and return the progress sampler.
     pub fn take_progress(&mut self) -> Option<ProgressSampler> {
-        self.progress.take().map(|b| *b)
-    }
-
-    /// Snapshot the run counters into the attached sampler (caller
-    /// checked attachment). Allocation-free: the sample is `Copy` and the
-    /// ring is pre-sized.
-    fn sample_progress(&mut self, cycle: u64, final_sample: bool) {
-        let sample = ProgressSample {
-            cycle,
-            issued: self.stats.issued,
-            stall_cycles: self.stats.stall_cycles,
-            stalls: self.stats.stalls,
-            live_threads: self.threads.live_count() as u32,
-            every: 0, // stamped by the sampler on push
-            final_sample,
-        };
-        if let Some(p) = &mut self.progress {
-            p.push(sample);
-        }
+        self.obs.progress.take().map(|b| *b)
     }
 
     /// Machine configuration.
@@ -452,13 +394,7 @@ impl Machine {
         self.array.clear_thread(tid);
         self.score.clear_thread(tid);
         self.bubble[tid] = StallReason::BranchBubble;
-        if let Some(sink) = &self.sink {
-            sink.emit(&TraceEvent::Thread {
-                cycle: self.cycle,
-                thread: tid,
-                transition: ThreadTransition::Spawned,
-            });
-        }
+        self.obs.thread(self.cycle, tid, ThreadTransition::Spawned);
         Some(tid)
     }
 
@@ -495,11 +431,7 @@ impl Machine {
             SchedPolicy::FineGrain => self.step_fine(),
             SchedPolicy::CoarseGrain { switch_penalty } => self.step_coarse(switch_penalty),
         }?;
-        // live telemetry: stall fast-forwarding can jump past the mark, so
-        // the sample lands at the first step boundary at-or-after it
-        if self.progress.as_ref().is_some_and(|p| p.due(self.cycle)) {
-            self.sample_progress(self.cycle, false);
-        }
+        self.obs.step_end(self.cycle, &self.stats, &self.threads);
         Ok(step)
     }
 
@@ -616,26 +548,9 @@ impl Machine {
                         row.next_issue = row.next_issue.max(self.cycle + penalty + stretch);
                         let next_pc = row.pc;
                         self.bubble[next] = StallReason::SwitchPenalty;
-                        self.stats.record_stall(StallReason::SwitchPenalty, 1);
-                        if let Some(p) = &mut self.profiler {
-                            // the switch cycle is the incoming thread's cost
-                            p.record_stall(
-                                next,
-                                next_pc,
-                                StallReason::SwitchPenalty,
-                                1,
-                                NO_PRODUCER_PC,
-                            );
-                        }
-                        if let Some(sink) = &self.sink {
-                            sink.emit(&TraceEvent::Stall {
-                                cycle: self.cycle,
-                                reason: StallReason::SwitchPenalty,
-                                cycles: 1,
-                            });
-                        }
-                        self.cycle += 1;
-                        return Ok(Step::Stalled { reason: StallReason::SwitchPenalty, cycles: 1 });
+                        // the switch cycle is the incoming thread's cost
+                        let blame = Some((next, next_pc, NO_PRODUCER_PC));
+                        return Ok(self.stall(StallReason::SwitchPenalty, 1, blame));
                     }
                 }
                 // no switch possible (or stall short enough): wait in place
@@ -667,18 +582,21 @@ impl Machine {
             (min_earliest - self.cycle).max(1)
         };
         let reason = block.map(|b| b.reason).unwrap_or(StallReason::NoThread);
-        self.stats.record_stall(reason, delta);
-        if let Some(p) = &mut self.profiler {
-            match block {
-                Some(b) => p.record_stall(b.thread, b.pc, reason, delta, b.waiting_on),
-                None => p.record_unattributed(reason, delta),
-            }
-        }
-        if let Some(sink) = &self.sink {
-            sink.emit(&TraceEvent::Stall { cycle: self.cycle, reason, cycles: delta });
-        }
-        self.cycle += delta;
-        Ok(Step::Stalled { reason, cycles: delta })
+        Ok(self.stall(reason, delta, block.map(|b| (b.thread, b.pc, b.waiting_on))))
+    }
+
+    /// Leave the issue slot empty for `cycles` cycles, charged to `blame`
+    /// (blocked thread, its PC, the producer PC it waits on).
+    fn stall(
+        &mut self,
+        reason: StallReason,
+        cycles: u64,
+        blame: Option<(usize, u32, u32)>,
+    ) -> Step {
+        self.stats.record_stall(reason, cycles);
+        self.obs.stall(self.cycle, reason, cycles, blame);
+        self.cycle += cycles;
+        Step::Stalled { reason, cycles }
     }
 
     /// Can `tid` issue at the current cycle? Returns the decoded
@@ -772,7 +690,8 @@ impl Machine {
         class: InstrClass,
     ) -> Option<Blocked> {
         let ex = self.cycle + self.timing.ex_start(class);
-        let unit = self.sequential_unit(instr, class)?;
+        let (unit, _) = self.sequential_unit(instr, class)?;
+        let unit = &self.seq_units[unit as usize];
         if unit.is_free(ex) {
             None
         } else {
@@ -791,55 +710,28 @@ impl Machine {
         }
     }
 
-    fn sequential_unit(&self, instr: &Instr, class: InstrClass) -> Option<&SequentialUnit> {
+    /// The sequential unit `instr` occupies on this machine, if any, and
+    /// for how many cycles (an instruction multiplies or divides, never
+    /// both).
+    fn sequential_unit(&self, instr: &Instr, class: InstrClass) -> Option<(SeqUnit, u64)> {
         let scalar = class == InstrClass::Scalar;
-        if instr.uses_multiplier() {
-            if let MultiplierKind::Sequential { .. } = self.cfg.multiplier {
-                return Some(if scalar { &self.mul_scalar } else { &self.mul_parallel });
+        match (self.cfg.multiplier, self.cfg.divider) {
+            (MultiplierKind::Sequential { cycles }, _) if instr.uses_multiplier() => {
+                Some((if scalar { SeqUnit::ScalarMul } else { SeqUnit::ParallelMul }, cycles))
             }
-        }
-        if instr.uses_divider() {
-            if let DividerConfig::Sequential { .. } = self.cfg.divider {
-                return Some(if scalar { &self.div_scalar } else { &self.div_parallel });
+            (_, DividerConfig::Sequential { cycles }) if instr.uses_divider() => {
+                Some((if scalar { SeqUnit::ScalarDiv } else { SeqUnit::ParallelDiv }, cycles))
             }
+            _ => None,
         }
-        None
     }
 
     fn claim_sequential_unit(&mut self, tid: usize, instr: &Instr, class: InstrClass) {
-        let ex = self.cycle + self.timing.ex_start(class);
-        let scalar = class == InstrClass::Scalar;
-        if instr.uses_multiplier() {
-            if let MultiplierKind::Sequential { cycles } = self.cfg.multiplier {
-                let unit = if scalar { &mut self.mul_scalar } else { &mut self.mul_parallel };
-                let claimed = unit.try_claim(ex, cycles);
-                debug_assert!(claimed.is_some(), "structural check preceded issue");
-                if let Some(sink) = &self.sink {
-                    let unit = if scalar { SeqUnit::ScalarMul } else { SeqUnit::ParallelMul };
-                    sink.emit(&TraceEvent::UnitBusy {
-                        cycle: ex,
-                        thread: tid,
-                        unit,
-                        busy_for: cycles,
-                    });
-                }
-            }
-        }
-        if instr.uses_divider() {
-            if let DividerConfig::Sequential { cycles } = self.cfg.divider {
-                let unit = if scalar { &mut self.div_scalar } else { &mut self.div_parallel };
-                let claimed = unit.try_claim(ex, cycles);
-                debug_assert!(claimed.is_some(), "structural check preceded issue");
-                if let Some(sink) = &self.sink {
-                    let unit = if scalar { SeqUnit::ScalarDiv } else { SeqUnit::ParallelDiv };
-                    sink.emit(&TraceEvent::UnitBusy {
-                        cycle: ex,
-                        thread: tid,
-                        unit,
-                        busy_for: cycles,
-                    });
-                }
-            }
+        if let Some((unit, cycles)) = self.sequential_unit(instr, class) {
+            let ex = self.cycle + self.timing.ex_start(class);
+            let claimed = self.seq_units[unit as usize].try_claim(ex, cycles);
+            debug_assert!(claimed.is_some(), "structural check preceded issue");
+            self.obs.unit_busy(ex, tid, unit, cycles);
         }
     }
 
@@ -873,17 +765,6 @@ impl Machine {
         };
 
         self.stats.record_issue(tid, class);
-        if let Some(p) = &mut self.profiler {
-            // ghost issues of fused blocks pass through here too, so fused
-            // and unfused runs attribute identically
-            p.record_issue(tid, pc);
-            if class != InstrClass::Scalar {
-                p.record_net(tid, pc);
-            }
-        }
-        if let Some(trace) = &mut self.trace {
-            trace.push(IssueRecord { cycle: self.cycle, thread: tid, pc, instr });
-        }
 
         // store "available from": the cycle after the result is produced
         let available = self.cycle + self.timing.produce_offset(&instr) + 1;
@@ -892,27 +773,7 @@ impl Machine {
         }
         let retire = self.cycle + self.timing.retire_offset(&instr);
         self.stats.last_writeback = self.stats.last_writeback.max(retire);
-
-        if let Some(sink) = &self.sink {
-            sink.emit(&TraceEvent::Issue {
-                cycle: self.cycle,
-                thread: tid,
-                pc,
-                class,
-                word: asc_isa::encode(&instr),
-            });
-            // retirement is resolved at issue; the event carries the
-            // future WB cycle
-            sink.emit(&TraceEvent::Retire { cycle: retire, thread: tid, pc, class });
-            if class != InstrClass::Scalar {
-                sink.emit(&TraceEvent::NetOp {
-                    cycle: self.cycle,
-                    thread: tid,
-                    unit: NetUnit::Broadcast,
-                    latency: self.timing.b,
-                });
-            }
-        }
+        self.obs.issue(self.cycle, tid, pc, &instr, retire, self.timing.b);
 
         let row = self.threads.get_mut(tid);
         match effect {
@@ -935,19 +796,9 @@ impl Machine {
             }
             Effect::Exit => {
                 let woken = self.threads.release(tid);
-                if let Some(sink) = &self.sink {
-                    sink.emit(&TraceEvent::Thread {
-                        cycle: self.cycle,
-                        thread: tid,
-                        transition: ThreadTransition::Exited,
-                    });
-                    for w in woken {
-                        sink.emit(&TraceEvent::Thread {
-                            cycle: self.cycle,
-                            thread: w,
-                            transition: ThreadTransition::Woken,
-                        });
-                    }
+                self.obs.thread(self.cycle, tid, ThreadTransition::Exited);
+                for w in woken {
+                    self.obs.thread(self.cycle, w, ThreadTransition::Woken);
                 }
             }
             Effect::JoinWait(target) => {
@@ -955,13 +806,7 @@ impl Machine {
                 row.pc = pc + 1;
                 row.state = ThreadState::WaitingJoin(target);
                 row.next_issue = self.cycle + 1;
-                if let Some(sink) = &self.sink {
-                    sink.emit(&TraceEvent::Thread {
-                        cycle: self.cycle,
-                        thread: tid,
-                        transition: ThreadTransition::JoinWait { target },
-                    });
-                }
+                self.obs.thread(self.cycle, tid, ThreadTransition::JoinWait { target });
             }
         }
 
@@ -992,22 +837,6 @@ impl Machine {
         }
     }
 
-    /// Emit a reduction-unit network event (called by the executor's
-    /// reduction arms, which know which tree the operation uses).
-    pub(crate) fn emit_net_reduce(&mut self, thread: usize, pc: u32, unit: NetUnit) {
-        if let Some(p) = &mut self.profiler {
-            p.record_net(thread, pc);
-        }
-        if let Some(sink) = &self.sink {
-            sink.emit(&TraceEvent::NetOp {
-                cycle: self.cycle,
-                thread,
-                unit,
-                latency: self.timing.r,
-            });
-        }
-    }
-
     /// Run until the program halts, every thread exits, or `max_cycles`
     /// elapse. Returns the final statistics.
     pub fn run(&mut self, max_cycles: u64) -> Result<Stats, RunError> {
@@ -1020,19 +849,7 @@ impl Machine {
         }
         // pipeline drain: cycles counted to the last writeback
         self.stats.cycles = self.stats.last_writeback.max(self.cycle) + 1;
-        if let Some(p) = &mut self.profiler {
-            p.finalize(self.stats.cycles);
-        }
-        if self.progress.is_some() {
-            // the final sample: end-of-run totals, stamped post-drain
-            self.sample_progress(self.stats.cycles, true);
-            // best-effort flush, like the trace sink below
-            let _ = self.progress.as_ref().unwrap().flush();
-        }
-        if let Some(sink) = &self.sink {
-            // best-effort flush; file-backed sinks latch their own errors
-            let _ = sink.flush();
-        }
+        self.obs.run_end(self.stats.cycles, &self.stats, &self.threads);
         Ok(self.stats.clone())
     }
 }

@@ -20,32 +20,16 @@ use std::collections::BTreeMap;
 use asc_isa::InstrClass;
 use asc_network::NetUnit;
 
-use super::event::TraceEvent;
+use super::event::{disasm_word, TraceEvent};
 use super::json::Json;
 use crate::timing::Timing;
 
 /// Track (Chrome `tid`) layout. Threads occupy 0..N; the constants below
 /// leave room for any realistic thread count.
 const TID_STALLS: u64 = 90;
-const TID_STAGES: u64 = 100; // + class_index * 32 + stage_index
+const TID_STAGES: u64 = 100; // + class.index() * 32 + stage_index
 const TID_UNITS: u64 = 200; // + SeqUnit order of appearance
 const TID_COUNTERS: u64 = 300; // + NetUnit::index()
-
-fn class_index(c: InstrClass) -> u64 {
-    match c {
-        InstrClass::Scalar => 0,
-        InstrClass::Parallel => 1,
-        InstrClass::Reduction => 2,
-    }
-}
-
-fn class_label(c: InstrClass) -> &'static str {
-    match c {
-        InstrClass::Scalar => "scalar",
-        InstrClass::Parallel => "parallel",
-        InstrClass::Reduction => "reduction",
-    }
-}
 
 /// A complete-slice (`ph:"X"`) event. Field order is part of the golden
 /// contract: name, ph, ts, dur, pid, tid, args.
@@ -106,13 +90,6 @@ fn track_meta(tid: u64, name: &str, sort: u64, out: &mut Vec<Json>) {
     ]));
 }
 
-fn disasm_word(word: u32) -> String {
-    match asc_isa::decode(word) {
-        Ok(i) => asc_asm::disassemble(&i),
-        Err(_) => format!("word {word:#010x}"),
-    }
-}
-
 /// Convert an event stream into a Chrome `trace_event` JSON document
 /// (`{"traceEvents": [...]}`), rendering per-thread instruction tracks,
 /// per-stage pipeline slices (scheduled with `timing`), the stall track,
@@ -151,16 +128,16 @@ pub fn chrome_trace(events: &[TraceEvent], timing: &Timing) -> Json {
     let mut classes_seen = [false; 3];
     for ev in events {
         if let TraceEvent::Issue { class, .. } = ev {
-            classes_seen[class_index(*class) as usize] = true;
+            classes_seen[class.index()] = true;
         }
     }
-    for class in [InstrClass::Scalar, InstrClass::Parallel, InstrClass::Reduction] {
-        if !classes_seen[class_index(class) as usize] {
+    for class in InstrClass::ALL {
+        if !classes_seen[class.index()] {
             continue;
         }
         for (j, stage) in timing.stage_names(class).iter().enumerate() {
-            let tid = TID_STAGES + class_index(class) * 32 + j as u64;
-            track_meta(tid, &format!("{}.{}", class_label(class), stage), tid, &mut out);
+            let tid = TID_STAGES + class.index() as u64 * 32 + j as u64;
+            track_meta(tid, &format!("{}.{}", class.label(), stage), tid, &mut out);
         }
     }
     // sequential-unit tracks, in order of first appearance
@@ -200,13 +177,13 @@ pub fn chrome_trace(events: &[TraceEvent], timing: &Timing) -> Json {
                     thread as u64,
                     vec![
                         ("pc".into(), Json::U64(pc as u64)),
-                        ("class".into(), Json::str(class_label(class))),
+                        ("class".into(), Json::str(class.label())),
                     ],
                 ));
                 // paint the instruction's pipeline stages: stage j of the
                 // class schedule executes at issue + j (Figure 1)
                 for (j, stage) in timing.stage_names(class).iter().enumerate() {
-                    let tid = TID_STAGES + class_index(class) * 32 + j as u64;
+                    let tid = TID_STAGES + class.index() as u64 * 32 + j as u64;
                     out.push(slice(
                         stage,
                         cycle + j as u64,
@@ -226,7 +203,7 @@ pub fn chrome_trace(events: &[TraceEvent], timing: &Timing) -> Json {
             }
             TraceEvent::NetOp { .. } => {} // rendered as counters below
             TraceEvent::Thread { cycle, thread, transition } => {
-                out.push(instant(transition_label(transition), cycle, thread as u64));
+                out.push(instant(transition.label(), cycle, thread as u64));
             }
             TraceEvent::UnitBusy { cycle, thread, unit, busy_for } => {
                 let k = seq_units.iter().position(|&l| l == unit.label()).unwrap() as u64;
@@ -268,16 +245,6 @@ pub fn chrome_trace(events: &[TraceEvent], timing: &Timing) -> Json {
     }
 
     Json::Obj(vec![("traceEvents".into(), Json::Arr(out))])
-}
-
-fn transition_label(t: super::event::ThreadTransition) -> &'static str {
-    use super::event::ThreadTransition::*;
-    match t {
-        Spawned => "spawned",
-        Exited => "exited",
-        JoinWait { .. } => "join_wait",
-        Woken => "woken",
-    }
 }
 
 /// Render a [`chrome_trace`] document as JSON text with one trace event

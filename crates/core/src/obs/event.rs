@@ -30,7 +30,7 @@ pub enum ThreadTransition {
 }
 
 impl ThreadTransition {
-    const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             ThreadTransition::Spawned => "spawned",
             ThreadTransition::Exited => "exited",
@@ -145,20 +145,16 @@ pub enum TraceEvent {
     },
 }
 
-fn class_label(c: InstrClass) -> &'static str {
-    match c {
-        InstrClass::Scalar => "scalar",
-        InstrClass::Parallel => "parallel",
-        InstrClass::Reduction => "reduction",
-    }
+fn class_from_label(s: &str) -> Option<InstrClass> {
+    InstrClass::ALL.into_iter().find(|c| c.label() == s)
 }
 
-fn class_from_label(s: &str) -> Option<InstrClass> {
-    match s {
-        "scalar" => Some(InstrClass::Scalar),
-        "parallel" => Some(InstrClass::Parallel),
-        "reduction" => Some(InstrClass::Reduction),
-        _ => None,
+/// The disassembly of a [`TraceEvent::Issue`] event's `word` (the raw
+/// word if it does not decode, e.g. in a hand-edited trace file).
+pub(crate) fn disasm_word(word: u32) -> String {
+    match asc_isa::decode(word) {
+        Ok(i) => asc_asm::disassemble(&i),
+        Err(_) => format!("word {word:#010x}"),
     }
 }
 
@@ -199,13 +195,13 @@ impl TraceEvent {
             TraceEvent::Issue { thread, pc, class, word, .. } => {
                 o.push(("thread".into(), Json::U64(thread as u64)));
                 o.push(("pc".into(), Json::U64(pc as u64)));
-                o.push(("class".into(), Json::str(class_label(class))));
+                o.push(("class".into(), Json::str(class.label())));
                 o.push(("word".into(), Json::U64(word as u64)));
             }
             TraceEvent::Retire { thread, pc, class, .. } => {
                 o.push(("thread".into(), Json::U64(thread as u64)));
                 o.push(("pc".into(), Json::U64(pc as u64)));
-                o.push(("class".into(), Json::str(class_label(class))));
+                o.push(("class".into(), Json::str(class.label())));
             }
             TraceEvent::Stall { reason, cycles, .. } => {
                 o.push(("reason".into(), Json::str(reason.label())));

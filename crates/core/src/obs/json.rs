@@ -145,9 +145,10 @@ impl Json {
         }
     }
 
-    /// Parse a complete JSON document (rejects trailing garbage).
+    /// Parse a complete JSON document (rejects trailing garbage, and
+    /// arrays/objects nested deeper than [`MAX_DEPTH`]).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -224,9 +225,17 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so unbounded input nesting would overflow the
+/// stack and abort the process; every document this program writes nests
+/// 5 levels or fewer.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -268,8 +277,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
@@ -487,6 +503,23 @@ mod tests {
     fn rejects_malformed_input() {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"\\x\"", "nan"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        for deep in [
+            format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1)),
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            // far past any stack: must be an error, not an abort
+            "[".repeat(100_000),
+        ] {
+            let e = Json::parse(&deep).unwrap_err();
+            assert!(e.message.contains("nesting deeper than 128"), "{e}");
         }
     }
 

@@ -7,10 +7,14 @@
 //!    retire, every stall span with its [`crate::StallReason`], network
 //!    operations with unit and latency, thread lifecycle transitions, and
 //!    sequential-unit (multiplier/divider) busy spans. Events flow into a
-//!    [`TraceSink`] — a bounded [`RingBufferSink`] for in-memory
-//!    inspection or a [`JsonLinesSink`] for on-disk traces. With no sink
-//!    attached, every emission site reduces to one `Option::is_some`
-//!    check: the event is never even constructed.
+//!    [`TraceSink`] — a bounded [`RingBufferSink`] or an unbounded
+//!    [`MemorySink`] for in-memory inspection, or a [`JsonLinesSink`] for
+//!    on-disk traces. The machine emits each event kind from one place,
+//!    through a single observer value that also feeds the cycle profiler
+//!    ([`Profile`]) and the [`ProgressSampler`]; with nothing attached
+//!    the event is never even constructed. That observer
+//!    (`observer::Observers`) is where further consumers, such as
+//!    host-time attribution, plug in.
 //!
 //! 2. **Metrics** ([`Registry`]) — named counters, gauges, and
 //!    fixed-bucket [`Histogram`]s. [`crate::Stats`] is refactored on top:
@@ -47,6 +51,7 @@ pub mod diff;
 pub mod event;
 pub mod json;
 pub mod metrics;
+pub(crate) mod observer;
 pub mod profile;
 pub mod progress;
 pub mod report;

@@ -13,6 +13,7 @@
 //! tail an in-flight run.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::rc::Rc;
 
@@ -264,10 +265,10 @@ pub struct ProgressSampler {
     every: u64,
     /// Next cycle at or after which a sample is due.
     next_at: u64,
-    /// Pre-sized sample ring (never grows after construction).
-    ring: Vec<ProgressSample>,
-    /// Index of the oldest retained sample once the ring has wrapped.
-    head: usize,
+    /// The most recent samples, oldest first (pre-sized; never holds
+    /// more than `capacity`, so it never grows after construction).
+    ring: VecDeque<ProgressSample>,
+    capacity: usize,
     /// Samples evicted because the ring was full.
     evicted: u64,
     /// Optional heartbeat sink.
@@ -283,8 +284,8 @@ impl ProgressSampler {
         ProgressSampler {
             every,
             next_at: every,
-            ring: Vec::with_capacity(capacity),
-            head: 0,
+            ring: VecDeque::with_capacity(capacity),
+            capacity,
             evicted: 0,
             sink: None,
         }
@@ -315,13 +316,11 @@ impl ProgressSampler {
     pub fn push(&mut self, mut sample: ProgressSample) {
         sample.every = self.every;
         self.next_at = sample.cycle.saturating_add(self.every);
-        if self.ring.len() < self.ring.capacity() {
-            self.ring.push(sample);
-        } else {
-            self.ring[self.head] = sample;
-            self.head = (self.head + 1) % self.ring.len();
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
             self.evicted += 1;
         }
+        self.ring.push_back(sample);
         if let Some(sink) = &self.sink {
             sink.emit(&sample);
         }
@@ -329,8 +328,7 @@ impl ProgressSampler {
 
     /// The retained samples, oldest first.
     pub fn samples(&self) -> impl Iterator<Item = &ProgressSample> {
-        let (wrapped, recent) = self.ring.split_at(self.head);
-        recent.iter().chain(wrapped.iter())
+        self.ring.iter()
     }
 
     /// Number of retained samples.
@@ -350,13 +348,7 @@ impl ProgressSampler {
 
     /// The most recent sample, if any.
     pub fn latest(&self) -> Option<&ProgressSample> {
-        if self.ring.is_empty() {
-            None
-        } else if self.ring.len() < self.ring.capacity() || self.head == 0 {
-            self.ring.last()
-        } else {
-            Some(&self.ring[self.head - 1])
-        }
+        self.ring.back()
     }
 
     /// Flush the attached sink, if any.

@@ -94,16 +94,8 @@ impl RunReport {
         // passes through every stage of that class's pipeline exactly once,
         // so stage occupancy is the sum of issue counts over the classes
         // whose pipelines contain the stage.
-        for class in [
-            asc_isa::InstrClass::Scalar,
-            asc_isa::InstrClass::Parallel,
-            asc_isa::InstrClass::Reduction,
-        ] {
-            let issued = stats.issued_by_class[match class {
-                asc_isa::InstrClass::Scalar => 0,
-                asc_isa::InstrClass::Parallel => 1,
-                asc_isa::InstrClass::Reduction => 2,
-            }];
+        for class in asc_isa::InstrClass::ALL {
+            let issued = stats.issued_by_class[class.index()];
             for stage in timing.stage_names(class) {
                 metrics.counter_add(&format!("occupancy.stage.{stage}"), issued);
             }

@@ -1,6 +1,6 @@
-//! Trace sinks: where [`TraceEvent`]s go. The machine holds an optional
-//! [`SinkHandle`]; with none attached, instrumentation reduces to one
-//! `Option` check per emission site (no event is even constructed).
+//! Trace sinks: where [`TraceEvent`]s go. The machine's one event path
+//! holds an optional [`SinkHandle`] next to the profiler and the progress
+//! sampler; with no sink attached, no event is even constructed.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

@@ -7,10 +7,9 @@
 //! * [`control_unit_organization`] — Figure 3, the control unit's
 //!   components.
 
-use asc_asm::disassemble;
-
 use crate::config::MachineConfig;
-use crate::machine::IssueRecord;
+use crate::obs::event::disasm_word;
+use crate::obs::TraceEvent;
 use crate::timing::Timing;
 
 /// Figure 1: the pipeline organization for the given timing (B/R stage
@@ -29,19 +28,26 @@ pub fn pipeline_organization(t: &Timing) -> String {
     s
 }
 
-/// Figure 2: a stage-by-cycle diagram of an actual issue trace (rows =
-/// instructions in program order, columns = cycles). Instruction fetch is
-/// rendered one per cycle in program order; a stalled instruction repeats
-/// its ID stage until issue, exactly as the paper draws it.
-pub fn hazard_diagram(records: &[IssueRecord], t: &Timing) -> String {
-    if records.is_empty() {
+/// Figure 2: a stage-by-cycle diagram of an actual trace (rows = the
+/// [`TraceEvent::Issue`] events in order, columns = cycles; every other
+/// event is ignored). Instruction fetch is rendered one per cycle in
+/// program order; a stalled instruction repeats its ID stage until issue,
+/// exactly as the paper draws it.
+pub fn hazard_diagram(events: &[TraceEvent], t: &Timing) -> String {
+    let issues: Vec<_> = events
+        .iter()
+        .filter_map(|ev| match *ev {
+            TraceEvent::Issue { cycle, class, word, .. } => Some((cycle, class, word)),
+            _ => None,
+        })
+        .collect();
+    let Some(&(first_issue, _, _)) = issues.first() else {
         // an empty diagram is confusing downstream (the CLI would print a
         // heading followed by nothing) — say what happened instead
         return "(no issues recorded)\n".to_string();
-    }
-    // program-order fetch: record k is fetched at first_fetch + k
-    let first_issue = records[0].cycle;
-    // render origin: two pipeline slots before the first issue
+    };
+    // render origin: two pipeline slots before the first issue; fetch is
+    // in program order, so issue k is fetched at origin + k
     let origin = first_issue as i64 - 2;
 
     struct Row {
@@ -52,19 +58,19 @@ pub fn hazard_diagram(records: &[IssueRecord], t: &Timing) -> String {
 
     let mut rows = Vec::new();
     let mut max_cycle = 0i64;
-    for (k, rec) in records.iter().enumerate() {
+    for (k, &(cycle, class, word)) in issues.iter().enumerate() {
         let fetch = origin + k as i64;
-        let issue = rec.cycle as i64;
+        let issue = cycle as i64;
         let mut cells = vec![(fetch, "IF".to_string())];
         // ID from fetch+1 up to issue-1 (repeats while stalled)
         for c in (fetch + 1)..issue {
             cells.push((c, "ID".to_string()));
         }
-        for (off, name) in t.stage_names(rec.instr.class()).into_iter().enumerate() {
+        for (off, name) in t.stage_names(class).into_iter().enumerate() {
             cells.push((issue + off as i64, name));
         }
         max_cycle = max_cycle.max(cells.last().map(|(c, _)| *c).unwrap_or(0));
-        rows.push(Row { label: disassemble(&rec.instr), cells });
+        rows.push(Row { label: disasm_word(word), cells });
     }
 
     let label_w = rows.iter().map(|r| r.label.len()).max().unwrap_or(0).max(12);
@@ -124,6 +130,8 @@ pub fn control_unit_organization(cfg: &MachineConfig) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::StallReason;
+    use asc_isa::InstrClass;
     use asc_pe::{DividerConfig, MultiplierKind};
 
     fn t() -> Timing {
@@ -139,6 +147,30 @@ mod tests {
     #[test]
     fn empty_trace_yields_placeholder() {
         assert_eq!(hazard_diagram(&[], &t()), "(no issues recorded)\n");
+        // events other than issues draw no rows
+        let stall = TraceEvent::Stall { cycle: 0, reason: StallReason::NoThread, cycles: 3 };
+        assert_eq!(hazard_diagram(&[stall], &t()), "(no issues recorded)\n");
+    }
+
+    #[test]
+    fn rows_come_from_issue_events() {
+        let halt = asc_isa::encode(&asc_isa::Instr::Halt);
+        let issue = |cycle, word| TraceEvent::Issue {
+            cycle,
+            thread: 0,
+            pc: 0,
+            class: InstrClass::Scalar,
+            word,
+        };
+        let retire = TraceEvent::Retire { cycle: 9, thread: 0, pc: 0, class: InstrClass::Scalar };
+        let d = hazard_diagram(&[issue(2, halt), retire, issue(5, u32::MAX)], &t());
+        let rows: Vec<&str> = d.lines().skip(2).collect();
+        assert_eq!(rows.len(), 2, "{d}");
+        assert!(rows[0].starts_with("halt ") && rows[0].contains("SR  EX  MA  WB"), "{d}");
+        // an undecodable word keeps its row, labelled with the raw word,
+        // and stalls in ID until its issue cycle
+        assert!(rows[1].starts_with("word 0xffffffff"), "{d}");
+        assert_eq!(rows[1].matches(" ID").count(), 3, "{d}");
     }
 
     #[test]

@@ -148,12 +148,7 @@ impl Stats {
     pub fn record_issue(&mut self, thread: usize, class: InstrClass) {
         self.issued += 1;
         self.issued_by_thread[thread] += 1;
-        let idx = match class {
-            InstrClass::Scalar => 0,
-            InstrClass::Parallel => 1,
-            InstrClass::Reduction => 2,
-        };
-        self.issued_by_class[idx] += 1;
+        self.issued_by_class[class.index()] += 1;
     }
 
     /// Record a contiguous span of `n` stall cycles attributed to `reason`.

@@ -27,13 +27,31 @@ fn full() -> MachineConfig {
     MachineConfig::new(16)
 }
 
-/// Issue cycles of a straight-line program, via the trace.
-fn issue_cycles(cfg: MachineConfig, src: &str) -> Vec<u64> {
+/// Run `src` with an in-memory trace sink attached; returns the machine
+/// and every event it emitted.
+fn traced_run(cfg: MachineConfig, src: &str) -> (Machine, Vec<crate::obs::TraceEvent>) {
+    use crate::obs::{MemorySink, SinkHandle};
+    use std::cell::RefCell;
+    use std::rc::Rc;
     let program = assemble(src).unwrap();
     let mut m = Machine::with_program(cfg, &program).unwrap();
-    m.enable_trace();
+    let mem = Rc::new(RefCell::new(MemorySink::new()));
+    m.attach_sink(SinkHandle::shared(mem.clone()));
     m.run(MAX).unwrap();
-    m.trace().unwrap().iter().map(|r| r.cycle).collect()
+    let events = mem.borrow().events().to_vec();
+    (m, events)
+}
+
+/// Issue cycles of a straight-line program, via the trace.
+fn issue_cycles(cfg: MachineConfig, src: &str) -> Vec<u64> {
+    let (_, events) = traced_run(cfg, src);
+    events
+        .iter()
+        .filter_map(|ev| match *ev {
+            crate::obs::TraceEvent::Issue { cycle, .. } => Some(cycle),
+            _ => None,
+        })
+        .collect()
 }
 
 // ------------------------------------------------------------ semantics
@@ -934,19 +952,14 @@ fn nonpipelined_baseline_runs_same_program() {
 
 #[test]
 fn hazard_diagram_renders_figure_2() {
-    let cfg = proto();
-    let program = assemble(
+    let (m, events) = traced_run(
+        proto(),
         "rmax s1, p2
          sub  s3, s1, s1
          halt",
-    )
-    .unwrap();
-    let mut m = Machine::with_program(cfg, &program).unwrap();
-    m.enable_trace();
-    m.run(MAX).unwrap();
+    );
     let t = m.timing();
-    let records: Vec<_> = m.trace().unwrap()[..2].to_vec();
-    let diagram = crate::pipeline::hazard_diagram(&records, &t);
+    let diagram = crate::pipeline::hazard_diagram(&events, &t);
     // the stalled SUB must repeat ID at least b+r times
     let sub_line = diagram.lines().find(|l| l.contains("sub")).unwrap();
     let id_count = sub_line.matches(" ID").count();

@@ -20,13 +20,29 @@ pub enum InstrClass {
     Reduction,
 }
 
-impl fmt::Display for InstrClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl InstrClass {
+    /// Every class, in [`InstrClass::index`] order.
+    pub const ALL: [InstrClass; 3] =
+        [InstrClass::Scalar, InstrClass::Parallel, InstrClass::Reduction];
+
+    /// Dense index (0, 1, 2) for per-class counter arrays.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
+    /// Stable lower-case name, as traces and reports spell it.
+    pub const fn label(self) -> &'static str {
+        match self {
             InstrClass::Scalar => "scalar",
             InstrClass::Parallel => "parallel",
             InstrClass::Reduction => "reduction",
-        })
+        }
+    }
+}
+
+impl fmt::Display for InstrClass {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -586,6 +602,16 @@ mod tests {
             InstrClass::Reduction
         );
         assert_eq!(Instr::TSpawn { rd: s(1), ra: s(2) }.class(), InstrClass::Scalar);
+    }
+
+    #[test]
+    fn class_table_is_dense_and_labelled() {
+        for (i, c) in InstrClass::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i);
+            assert_eq!(c.to_string(), c.label());
+        }
+        let labels: Vec<&str> = InstrClass::ALL.iter().map(|c| c.label()).collect();
+        assert_eq!(labels, ["scalar", "parallel", "reduction"]);
     }
 
     #[test]

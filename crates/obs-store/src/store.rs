@@ -482,6 +482,25 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_index_lines_are_skipped_not_fatal() {
+        let store = tmp_store("deep");
+        let mut m = begin_meta("a.asc");
+        m.id = ulid_at(1, 1);
+        store.record(&m).unwrap();
+        // one hostile line nested far past the parser's depth limit: it
+        // must count as skipped, not overflow the stack of the reader
+        let mut f =
+            fs::OpenOptions::new().append(true).open(store.root().join(INDEX_FILE)).unwrap();
+        writeln!(f, "{}", "[".repeat(100_000)).unwrap();
+        drop(f);
+        let (metas, skipped) = store.list().unwrap();
+        assert_eq!(metas.len(), 1);
+        assert_eq!(metas[0].id, m.id);
+        assert_eq!(skipped, 1);
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
     fn empty_registry_lists_empty() {
         let store = tmp_store("empty");
         let (metas, skipped) = store.list().unwrap();

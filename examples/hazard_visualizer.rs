@@ -9,6 +9,10 @@
 //! #                                         file        PEs  arity
 //! ```
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use asc::core::obs::{MemorySink, SinkHandle};
 use asc::core::pipeline::hazard_diagram;
 use asc::core::{Machine, MachineConfig};
 
@@ -21,14 +25,15 @@ fn show(title: &str, source: &str, cfg: MachineConfig) {
         }
     };
     let mut m = Machine::with_program(cfg, &program).expect("loads");
-    m.enable_trace();
+    let trace = Rc::new(RefCell::new(MemorySink::new()));
+    m.attach_sink(SinkHandle::shared(trace.clone()));
     if let Err(e) = m.run(100_000) {
         eprintln!("run failed: {e}");
         std::process::exit(1);
     }
     let t = m.timing();
     println!("=== {title} (p = {}, b = {}, r = {}) ===", cfg.num_pes, t.b, t.r);
-    println!("{}", hazard_diagram(m.trace().unwrap(), &t));
+    println!("{}", hazard_diagram(trace.borrow().events(), &t));
 }
 
 fn main() {
